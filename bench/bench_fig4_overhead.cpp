@@ -9,8 +9,7 @@ using namespace fvsst;
 
 namespace {
 
-double throughput(double intensity, bool with_daemon,
-                  core::ControlLoopTimings* timings = nullptr) {
+double throughput(double intensity, bool with_daemon) {
   sim::Simulation sim;
   sim::Rng rng(7 + static_cast<std::uint64_t>(intensity));
   const mach::MachineConfig machine = mach::p630();
@@ -35,7 +34,6 @@ double throughput(double intensity, bool with_daemon,
         sim, cluster, machine.freq_table, budget, cfg);
   }
   sim.run_for(10.0);
-  if (daemon && timings) *timings = daemon->loop().timings();
   return cluster.core({0, 3}).instructions_retired();
 }
 
@@ -48,10 +46,9 @@ int main() {
   sim::TextTable out("Relative throughput with fvsst (1.0 = without fvsst)");
   out.set_header({"CPU intensity", "without", "with fvsst", "impact"});
   double worst = 0.0;
-  core::ControlLoopTimings timings;
   for (double intensity : {100.0, 75.0, 50.0, 25.0}) {
     const double base = throughput(intensity, false);
-    const double with = throughput(intensity, true, &timings);
+    const double with = throughput(intensity, true);
     const double impact = 1.0 - with / base;
     worst = std::max(worst, impact);
     out.add_row({sim::TextTable::num(intensity, 0) + "%",
@@ -63,31 +60,6 @@ int main() {
   std::printf("Worst-case impact: %.2f%% (paper: no more than ~3%%).\n",
               worst * 100.0);
 
-  // The impact above is the *modelled* daemon cost inside the simulation;
-  // the engine also measures the real host cost of each pipeline stage
-  // (ControlLoop's monotonic-clock timing, last run, 25% setting).
-  sim::TextTable cost("Measured engine cost per stage (host wall clock)");
-  cost.set_header(
-      {"stage", "invocations", "mean", "p50", "p95", "p99", "total"});
-  const auto row = [&](const char* name, const core::StageTiming& t) {
-    cost.add_row({name, sim::TextTable::num(t.invocations, 0),
-                  sim::TextTable::num(t.mean_s() * 1e6, 2) + " us",
-                  sim::TextTable::num(t.quantile_s(0.50) * 1e6, 2) + " us",
-                  sim::TextTable::num(t.quantile_s(0.95) * 1e6, 2) + " us",
-                  sim::TextTable::num(t.quantile_s(0.99) * 1e6, 2) + " us",
-                  sim::TextTable::num(t.total_s * 1e3, 3) + " ms"});
-  };
-  row("sample", timings.sample);
-  row("estimate", timings.estimate);
-  row("policy", timings.policy);
-  row("actuate", timings.actuate);
-  cost.print();
-  const double cycles =
-      static_cast<double>(std::max<std::uint64_t>(timings.policy.invocations, 1));
-  std::printf(
-      "Full scheduling cycle: %.2f us mean — the daemon cost the paper's\n"
-      "Fig. 4 folds into its <=3%% impact, measured by the framework.\n",
-      timings.cycle_total_s() / cycles * 1e6);
   std::printf(
       "Shape to reproduce: the impact stays within ~epsilon (4%%) at every\n"
       "setting — it bundles daemon overhead, misprediction cost, and the\n"

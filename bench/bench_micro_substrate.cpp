@@ -12,11 +12,11 @@
 // regression gates instead: skip-ahead advance-call reduction, event-driven
 // daemon event-count reduction, binary-vs-JSONL serialize throughput, and
 // the monitor aggregators' per-observation cost.  The first two are
-// deterministic counters; the serialize ratio is a same-process ratio so
-// machine load cancels out, and the monitor gate takes the best of three
-// passes for the same reason.
+// deterministic counters; the serialize and monitor gates are same-process
+// ratios (best of three passes), so machine load cancels out.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -39,6 +39,7 @@
 #include "simkit/event_queue.h"
 #include "simkit/monitor.h"
 #include "simkit/rng.h"
+#include "simkit/stats.h"
 #include "simkit/telemetry.h"
 #include "workload/synthetic.h"
 
@@ -535,11 +536,17 @@ int run_smoke() {
 
   // Gate 4: the monitor's per-observation cost.  The aggregators sit on
   // the daemon's commit path at every sample, so their hot loop must stay
-  // under 25 ns per observation and allocation-free in steady state.
-  // Wall-clock timed, hence best of three passes.
+  // within kMonitorCostBound times a sim::RunningStat::add over the same
+  // value sequence, and allocation-free in steady state.  Both loops are
+  // timed in each of three passes and the best of each is kept: a
+  // same-process ratio like gate 3's, so machine load cancels out.  On a
+  // 4-vCPU Xeon VM this loop read 1.0-2.3x and the same loop doing twice
+  // the work 2.6-5.3x.
   {
+    constexpr double kMonitorCostBound = 2.5;
     sim::monitor::SlidingWindow window(0.6, 16);
     sim::monitor::P2Quantile sketch(0.9);
+    sim::RunningStat reference;
     const std::size_t iters = 300000;
     double t = 0.0, x = 0.0;
     // Warm-up settles the window ring and the sketch markers before any
@@ -550,9 +557,17 @@ int run_smoke() {
       t += 1e-4;
       x += 0.7;
     }
-    double best = 1e300;
+    const auto ns_per_obs = [iters](auto t0, auto t1) {
+      return static_cast<double>(
+                 std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                     .count()) /
+             static_cast<double>(iters);
+    };
+    double best_monitor = 1e300;
+    double best_reference = 1e300;
     std::size_t allocs = 0;
     for (int pass = 0; pass < 3; ++pass) {
+      const double x_start = x;
       const std::size_t allocs_before =
           g_allocs.load(std::memory_order_relaxed);
       const auto t0 = std::chrono::steady_clock::now();
@@ -567,19 +582,28 @@ int run_smoke() {
       benchmark::DoNotOptimize(window.max(t));
       benchmark::DoNotOptimize(sketch.value());
       allocs += g_allocs.load(std::memory_order_relaxed) - allocs_before;
-      const double ns =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                  .count()) /
-          static_cast<double>(iters);
-      if (ns < best) best = ns;
+      double xr = x_start;
+      const auto t2 = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < iters; ++i) {
+        reference.add(xr);
+        xr += 0.7;
+        if (xr > 1000.0) xr = 0.0;
+      }
+      const auto t3 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(reference.mean());
+      best_monitor = std::min(best_monitor, ns_per_obs(t0, t1));
+      best_reference = std::min(best_reference, ns_per_obs(t2, t3));
     }
+    const double ratio = best_monitor / best_reference;
     std::printf("smoke: monitor observe ns/obs (window + sketch): %.1f, "
-                "allocs over 3x%zu obs: %zu\n",
-                best, iters, allocs);
-    if (best >= 25.0) {
+                "RunningStat::add: %.1f (%.2fx), allocs over 3x%zu obs: "
+                "%zu\n",
+                best_monitor, best_reference, ratio, iters, allocs);
+    if (ratio >= kMonitorCostBound) {
       std::fprintf(stderr,
-                   "smoke FAIL: monitor observation cost >= 25 ns\n");
+                   "smoke FAIL: monitor observation cost >= %.1fx "
+                   "RunningStat::add\n",
+                   kMonitorCostBound);
       ++failures;
     }
     if (allocs != 0) {

@@ -4,11 +4,9 @@
 //
 // Every (nodes, threads) cell runs the same scenario — uniform synthetic
 // load, a mid-run budget drop, the distributed ClusterDaemon — and records
-// wall time plus a fingerprint of the decision journal and the final core
-// state.  Fingerprints exclude the journal's host wall-clock stage timings
-// (estimate_s and friends), which measure this machine, not the simulated
-// cluster; everything else must match bit-for-bit across thread counts or
-// the bench exits nonzero.
+// wall time plus a fingerprint of the decision journal's serialized bytes
+// and the final core state, which must match bit-for-bit across thread
+// counts or the bench exits nonzero.
 //
 // A second sweep compares the flat single-coordinator daemon against the
 // hierarchical coordinator tree at O(1k-100k) nodes on the headline
@@ -27,7 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "core/cluster_daemon.h"
@@ -55,30 +53,13 @@ void fnv(std::uint64_t& h, const void* data, std::size_t len) {
 
 void fnv_d(std::uint64_t& h, double v) { fnv(h, &v, sizeof v); }
 
-void fnv(std::uint64_t& h, std::string_view s) { fnv(h, s.data(), s.size()); }
-
-/// True for the journal fields that record host wall-clock time of the
-/// scheduling stages; they differ run to run even at a fixed thread count.
-bool is_wall_clock_field(std::string_view key) {
-  return key == "estimate_s" || key == "policy_s" || key == "actuate_s" ||
-         key == "sample_s" || key == "cycle_s";
-}
-
 std::uint64_t fingerprint_journal(const sim::EventLog& log) {
   std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  std::string line;
   for (const sim::Event& e : log.events()) {
-    fnv_d(h, e.t);
-    fnv(h, sim::event_type_name(e.type));
-    fnv_d(h, static_cast<double>(e.cpu));
-    for (const auto& [key, value] : e.num) {
-      if (is_wall_clock_field(key)) continue;
-      fnv(h, key);
-      fnv_d(h, value);
-    }
-    for (const auto& [key, value] : e.str) {
-      fnv(h, key);
-      fnv(h, value);
-    }
+    line.clear();
+    sim::append_event_jsonl(line, e);
+    fnv(h, line.data(), line.size());
   }
   return h;
 }

@@ -110,7 +110,7 @@ class GovernorDaemon {
 
   std::size_t evaluations() const { return loop_->cycles_run(); }
 
-  /// The underlying engine (stage timings, latest views).
+  /// The underlying engine (latest views).
   const core::ControlLoop& loop() const { return *loop_; }
 
   sim::MetricRegistry& telemetry() { return telemetry_; }

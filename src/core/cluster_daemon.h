@@ -227,7 +227,7 @@ class ClusterDaemon {
   /// The current leader's epoch (what nodes' fences converge to).
   cluster::Epoch epoch() const { return leader_coordinator().epoch(); }
 
-  /// The global scheduler's engine (stage timings, latest mailbox views),
+  /// The global scheduler's engine (latest mailbox views),
   /// from the current leader.
   const ControlLoop& loop() const { return leader_coordinator().loop(); }
 

@@ -1,21 +1,10 @@
 #include "core/control_loop.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
 namespace fvsst::core {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-}  // namespace
 
 std::string_view cycle_trigger_name(CycleTrigger trigger) {
   switch (trigger) {
@@ -102,12 +91,7 @@ void ControlLoop::prime(double now, const std::vector<double>& hz,
 }
 
 bool ControlLoop::collect(double now) {
-  const auto t0 = Clock::now();
   sampler_->collect();
-  ++timings_.sample.invocations;
-  const double elapsed = seconds_since(t0);
-  timings_.sample.total_s += elapsed;
-  timings_.sample.samples.add(elapsed);
   process_retries(now);
   return ++samples_since_cycle_ >= config_.schedule_every_n_samples;
 }
@@ -123,7 +107,6 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
 
   // --- Sample + Estimate: close the interval, score the previous cycle's
   // predictions against what was measured, refresh the workload views.
-  auto t0 = Clock::now();
   const std::vector<IntervalSample> samples = sampler_->end_interval(now);
   for (std::size_t i = 0; i < states_.size() && i < samples.size(); ++i) {
     const IntervalSample& s = samples[i];
@@ -137,10 +120,6 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
     st.deviation.add(deviation);
   }
   estimator_->update(samples, views_);
-  ++timings_.estimate.invocations;
-  const double estimate_s = seconds_since(t0);
-  timings_.estimate.total_s += estimate_s;
-  timings_.estimate.samples.add(estimate_s);
 
   if (config_.journal) {
     for (std::size_t i = 0; i < views_.size(); ++i) {
@@ -170,25 +149,17 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
     }
   }
 
-  // The facade's modelled scheduling cost (dead cycles) is charged here,
-  // outside the stage timers, so measured and modelled overhead stay
-  // separable.
+  // The facade's modelled scheduling cost (dead cycles) is charged here.
   if (config_.pre_policy) config_.pre_policy(trigger);
 
   // --- Policy.
-  t0 = Clock::now();
   last_result_ = policy_->decide(views_, tables_, power_budget_w);
   ++cycles_run_;
   samples_since_cycle_ = 0;
-  ++timings_.policy.invocations;
-  const double policy_s = seconds_since(t0);
-  timings_.policy.total_s += policy_s;
-  timings_.policy.samples.add(policy_s);
 
   // --- Actuate, then account for what was granted: record the promise the
   // policy's model makes for the next interval, and the operating point's
   // power/frequency traces.
-  t0 = Clock::now();
   const ActuationReport report = actuator_->apply(last_result_, now, trigger);
   handle_rejections(report, now);
   for (std::size_t i = 0; i < states_.size(); ++i) {
@@ -213,15 +184,13 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
     if (st.granted) st.granted->add(now, d.hz);
     if (st.desired) st.desired->add(now, d.desired_hz);
   }
-  ++timings_.actuate.invocations;
-  const double actuate_s = seconds_since(t0);
-  timings_.actuate.total_s += actuate_s;
-  timings_.actuate.samples.add(actuate_s);
-  publish_timings();
-  if (config_.journal) {
-    journal_cycle(now, trigger, power_budget_w, estimate_s, policy_s,
-                  actuate_s);
+  if (telemetry_) {
+    if (!cycles_id_.valid()) {
+      cycles_id_ = telemetry_->intern_counter("loop/cycles");
+    }
+    telemetry_->counter(cycles_id_) = static_cast<double>(cycles_run_);
   }
+  if (config_.journal) journal_cycle(now, power_budget_w);
   if (config_.monitor) {
     if (!monitor_ids_.resolved) {
       monitor_ids_.downgrade_steps = config_.monitor->input("downgrade_steps");
@@ -236,10 +205,7 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
   return last_result_;
 }
 
-void ControlLoop::journal_cycle(double now, CycleTrigger trigger,
-                                double power_budget_w, double estimate_s,
-                                double policy_s, double actuate_s) {
-  (void)trigger;
+void ControlLoop::journal_cycle(double now, double power_budget_w) {
   sim::EventLog& journal = *config_.journal;
   for (std::size_t i = 0; i < last_result_.decisions.size(); ++i) {
     const ScheduleDecision& d = last_result_.decisions[i];
@@ -289,10 +255,7 @@ void ControlLoop::journal_cycle(double now, CycleTrigger trigger,
       .set("budget_w", power_budget_w)
       .set("feasible", last_result_.feasible ? 1.0 : 0.0)
       .set("downgrade_steps",
-           static_cast<double>(last_result_.downgrade_steps))
-      .set("estimate_s", estimate_s)
-      .set("policy_s", policy_s)
-      .set("actuate_s", actuate_s);
+           static_cast<double>(last_result_.downgrade_steps));
 }
 
 void ControlLoop::handle_rejections(const ActuationReport& report,
@@ -424,60 +387,6 @@ std::size_t ControlLoop::retrying_cpu_count() const {
   std::size_t n = 0;
   for (const RetryState& r : retries_) n += r.active ? 1 : 0;
   return n;
-}
-
-void ControlLoop::publish_timings() {
-  if (!telemetry_) return;
-  if (!timing_ids_.base_resolved) {
-    timing_ids_.cycles = telemetry_->intern_counter("loop/cycles");
-    timing_ids_.sample_count = telemetry_->intern_counter("loop/sample_count");
-    timing_ids_.sample_s = telemetry_->intern_counter("loop/sample_s");
-    timing_ids_.estimate_count =
-        telemetry_->intern_counter("loop/estimate_count");
-    timing_ids_.estimate_s = telemetry_->intern_counter("loop/estimate_s");
-    timing_ids_.policy_count = telemetry_->intern_counter("loop/policy_count");
-    timing_ids_.policy_s = telemetry_->intern_counter("loop/policy_s");
-    timing_ids_.actuate_count =
-        telemetry_->intern_counter("loop/actuate_count");
-    timing_ids_.actuate_s = telemetry_->intern_counter("loop/actuate_s");
-    timing_ids_.base_resolved = true;
-  }
-  sim::MetricRegistry& reg = *telemetry_;
-  reg.counter(timing_ids_.cycles) = static_cast<double>(cycles_run_);
-  reg.counter(timing_ids_.sample_count) =
-      static_cast<double>(timings_.sample.invocations);
-  reg.counter(timing_ids_.sample_s) = timings_.sample.total_s;
-  reg.counter(timing_ids_.estimate_count) =
-      static_cast<double>(timings_.estimate.invocations);
-  reg.counter(timing_ids_.estimate_s) = timings_.estimate.total_s;
-  reg.counter(timing_ids_.policy_count) =
-      static_cast<double>(timings_.policy.invocations);
-  reg.counter(timing_ids_.policy_s) = timings_.policy.total_s;
-  reg.counter(timing_ids_.actuate_count) =
-      static_cast<double>(timings_.actuate.invocations);
-  reg.counter(timing_ids_.actuate_s) = timings_.actuate.total_s;
-  const auto put_quantiles = [&reg, this](TimingCounterIds::Quantiles& q,
-                                          const char* stage,
-                                          const StageTiming& t) {
-    if (!t.samples.count()) return;
-    if (!q.resolved) {
-      // Resolved at the first publish where the stage has samples — the
-      // same gate the string path applied per cycle — so a stage that
-      // never runs never registers its trio.
-      const std::string base = std::string("loop/") + stage;
-      q.p50 = telemetry_->intern_counter(base + "_p50_s");
-      q.p95 = telemetry_->intern_counter(base + "_p95_s");
-      q.p99 = telemetry_->intern_counter(base + "_p99_s");
-      q.resolved = true;
-    }
-    reg.counter(q.p50) = t.quantile_s(0.50);
-    reg.counter(q.p95) = t.quantile_s(0.95);
-    reg.counter(q.p99) = t.quantile_s(0.99);
-  };
-  put_quantiles(timing_ids_.sample, "sample", timings_.sample);
-  put_quantiles(timing_ids_.estimate, "estimate", timings_.estimate);
-  put_quantiles(timing_ids_.policy, "policy", timings_.policy);
-  put_quantiles(timing_ids_.actuate, "actuate", timings_.actuate);
 }
 
 const sim::RunningStat& ControlLoop::deviation_stat(std::size_t cpu) const {

@@ -21,13 +21,13 @@
 //
 // The engine owns the shared telemetry: per-CPU granted/desired frequency,
 // predicted/measured IPC, prediction deviation and power are registered in
-// a sim::MetricRegistry, and every stage's wall-clock cost is accumulated
-// in per-stage timing counters, so the daemon overhead the paper estimates
-// for Fig. 4 is measured by the framework itself.
+// a sim::MetricRegistry.  Everything it records is a simulated quantity, so
+// journals and telemetry depend only on the run's inputs; the daemon
+// overhead the paper measures for Fig. 4 is charged as modelled dead cycles
+// by the facades (DaemonConfig::overhead_per_*).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -189,39 +189,6 @@ class Actuator {
   }
 };
 
-/// Wall-clock cost of one stage, accumulated across cycles.
-struct StageTiming {
-  std::uint64_t invocations = 0;
-  double total_s = 0.0;
-  /// Every per-invocation cost, kept for order statistics (a mean hides
-  /// the tail the paper's overhead argument cares about).
-  sim::SampleSet samples;
-
-  double mean_s() const {
-    return invocations ? total_s / static_cast<double>(invocations) : 0.0;
-  }
-  /// p-quantile of the per-invocation cost (p in [0, 1]); 0 before the
-  /// first invocation.
-  double quantile_s(double p) const {
-    return samples.count() ? samples.percentile(p) : 0.0;
-  }
-};
-
-/// Per-stage timing of the whole loop (real host time, measured with a
-/// monotonic clock; purely observational, so simulations stay
-/// deterministic).
-struct ControlLoopTimings {
-  StageTiming sample;    ///< Sampler::collect ticks.
-  StageTiming estimate;  ///< Interval close + Estimator::update.
-  StageTiming policy;    ///< PolicyStage::decide.
-  StageTiming actuate;   ///< Actuator::apply + telemetry recording.
-
-  /// Total measured cost of one full scheduling cycle (excluding ticks).
-  double cycle_total_s() const {
-    return estimate.total_s + policy.total_s + actuate.total_s;
-  }
-};
-
 /// Display names for the engine's per-CPU trace metrics.  Keys in the
 /// registry are structured ("cpu3/granted_hz"); display names keep the
 /// historical labels benches and CSV headers rely on.
@@ -275,8 +242,8 @@ struct ControlLoopConfig {
 
 /// The unified control-loop engine.  Passive: facades own the timers (or
 /// wall clock) and drive collect()/run_cycle(); the engine owns the stage
-/// pipeline, per-CPU prediction scoring, power accounting, trace recording
-/// and per-stage timing.
+/// pipeline, per-CPU prediction scoring, power accounting and trace
+/// recording.
 class ControlLoop {
  public:
   ControlLoop(ControlLoopConfig config, std::unique_ptr<Sampler> sampler,
@@ -299,14 +266,6 @@ class ControlLoop {
   /// retries (rejected writes being retried with backoff) run here.
   bool collect(double now);
 
-  /// Folds `k` sampling ticks an event-driven facade skipped into the
-  /// sample-stage invocation count, so the loop/sample_count telemetry a
-  /// cycle publishes matches the tick-driven run (the skipped ticks cost
-  /// no host time, so the *_s totals stay honest).
-  void note_skipped_collects(std::uint64_t k) {
-    timings_.sample.invocations += k;
-  }
-
   /// One full cycle: close interval -> estimate -> policy -> actuate.
   /// Resets the tick count (a budget-triggered cycle restarts T).
   const ScheduleResult& run_cycle(double now, double power_budget_w,
@@ -318,8 +277,6 @@ class ControlLoop {
 
   /// Latest per-CPU views (estimate, idle, utilisation).
   const std::vector<ProcView>& views() const { return views_; }
-
-  const ControlLoopTimings& timings() const { return timings_; }
 
   /// Running |predicted - measured| IPC statistics (paper Table 2).
   const sim::RunningStat& deviation_stat(std::size_t cpu) const;
@@ -384,25 +341,8 @@ class ControlLoop {
     sim::TimeSeries* dev = nullptr;
   };
 
-  /// Interned handles for the loop/* timing counters.  Base counters
-  /// resolve at the first publish and each stage's quantile trio at the
-  /// first publish where that stage has samples — the same lazy gating the
-  /// string-keyed path had, so counter registration order (and with it
-  /// every counters.csv / JSONL export) is unchanged, while steady-state
-  /// publishes do no string building or hashing.
-  struct TimingCounterIds {
-    bool base_resolved = false;
-    sim::CounterId cycles, sample_count, sample_s, estimate_count,
-        estimate_s, policy_count, policy_s, actuate_count, actuate_s;
-    struct Quantiles {
-      bool resolved = false;
-      sim::CounterId p50, p95, p99;
-    };
-    Quantiles sample, estimate, policy, actuate;
-  };
-
-  /// Interned monitor input channels, resolved once at the first cycle
-  /// (the TimingCounterIds idiom: steady-state feeds hash no strings).
+  /// Interned monitor input channels, resolved once at the first cycle, so
+  /// steady-state feeds hash no strings.
   struct MonitorInputIds {
     bool resolved = false;
     sim::monitor::InputId downgrade_steps, infeasible;
@@ -419,9 +359,7 @@ class ControlLoop {
     double target_hz = 0.0;  ///< What the retry is trying to write.
   };
 
-  void publish_timings();
-  void journal_cycle(double now, CycleTrigger trigger, double power_budget_w,
-                     double estimate_s, double policy_s, double actuate_s);
+  void journal_cycle(double now, double power_budget_w);
   void handle_rejections(const ActuationReport& report, double now);
   void process_retries(double now);
   void finish_recovery(std::size_t cpu, double hz_written, double now);
@@ -448,8 +386,9 @@ class ControlLoop {
   int samples_since_cycle_ = 0;
   std::size_t cycles_run_ = 0;
   ScheduleResult last_result_;
-  ControlLoopTimings timings_;
-  TimingCounterIds timing_ids_;
+  /// loop/cycles, interned at the first cycle's publish (registration
+  /// order fixes the position of the counter in every export).
+  sim::CounterId cycles_id_;
   MonitorInputIds monitor_ids_;
 };
 

@@ -109,14 +109,6 @@ FvsstDaemon::FvsstDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
         --i;
       }
       const std::uint64_t j = i + 1;  // First tick number at or after tau.
-      // Ticks fired strictly before this trigger: numbers 1 .. j-1.  Fold
-      // the ones no wake accounted yet so the telemetry this cycle
-      // publishes matches tick mode.
-      const std::uint64_t fired = j - 1;
-      if (fired > ticks_accounted_) {
-        loop_->note_skipped_collects(fired - ticks_accounted_);
-        ticks_accounted_ = fired;
-      }
       run_cycle(CycleTrigger::kBudget);
       next_cycle_k_ =
           j + static_cast<std::uint64_t>(config_.schedule_every_n_samples) - 1;
@@ -223,10 +215,6 @@ void FvsstDaemon::on_event_wake() {
   // replays the skipped per-tick counter folds from the recorded history.
   // Its due-cycle return is ignored: in event mode a wake *is* the cycle.
   loop_->collect(sim_.now());
-  // This wake is tick number next_cycle_k_; fold the ticks it absorbed so
-  // the loop/sample_count published below matches a tick-driven run.
-  loop_->note_skipped_collects(next_cycle_k_ - ticks_accounted_ - 1);
-  ticks_accounted_ = next_cycle_k_;
   run_cycle(CycleTrigger::kTimer);
   next_cycle_k_ +=
       static_cast<std::uint64_t>(config_.schedule_every_n_samples);

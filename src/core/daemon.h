@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -146,11 +147,11 @@ class FvsstDaemon {
   /// stage (there is no FrequencyScheduler to expose then).
   const FrequencyScheduler& scheduler() const;
 
-  /// The underlying engine (per-stage timings, latest views).
+  /// The underlying engine (latest views, prediction statistics).
   const ControlLoop& loop() const { return *loop_; }
 
   /// Registry holding the per-CPU traces ("cpu<i>/granted_hz", ...) and the
-  /// engine's stage-timing counters ("loop/policy_s", ...).
+  /// engine's cycle counter ("loop/cycles").
   sim::MetricRegistry& telemetry() { return telemetry_; }
   const sim::MetricRegistry& telemetry() const { return telemetry_; }
 
@@ -185,8 +186,6 @@ class FvsstDaemon {
   bool event_driven_ = false;
   double grid_origin_ = 0.0;
   std::uint64_t next_cycle_k_ = 0;  ///< Tick number (1-based) of next cycle.
-  /// Ticks already folded into loop/sample_count (telemetry parity).
-  std::uint64_t ticks_accounted_ = 0;
   sim::EventId wake_event_ = 0;
   // Monitor input channels (interned once in the ctor; unused when the
   // config carries no monitor).

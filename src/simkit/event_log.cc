@@ -804,19 +804,6 @@ class ChromeWriter {
 
   void finish() { out_ << "\n]}\n"; }
 
-  void slice(std::string_view name, double ts_us, double dur_us,
-             const std::string& args_json) {
-    begin();
-    out_ << "{\"name\":";
-    write_json_string(out_, name);
-    out_ << ",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":";
-    write_number(out_, ts_us);
-    out_ << ",\"dur\":";
-    write_number(out_, std::max(dur_us, 0.001));  // visible at any zoom
-    if (!args_json.empty()) out_ << ",\"args\":" << args_json;
-    out_ << '}';
-  }
-
   void counter(std::string_view name, double ts_us,
                const std::string& args_json) {
     begin();
@@ -890,7 +877,13 @@ void write_chrome_trace(std::ostream& out, const EventLog& log) {
       case EventType::kTablePoint:
       case EventType::kCycleStart:
       case EventType::kDowngrade:
-        break;  // folded into the actuation slice / decision counters
+        break;  // folded into the actuation instant / decision counters
+      case EventType::kMessageRetransmit:
+      case EventType::kMessageDuplicate:
+      case EventType::kMessageExpired:
+      case EventType::kMessageCorrupt:
+      case EventType::kAggregation:
+        break;  // transport and tree detail: not drawn
       case EventType::kDecision: {
         const std::string name = "cpu" + std::to_string(e.cpu) + " freq_mhz";
         w.counter(name, ts,
@@ -1000,20 +993,14 @@ void write_chrome_trace(std::ostream& out, const EventLog& log) {
           }
           break;
         }
-        // The engine's end-of-cycle record: measured stage wall costs as
-        // nested slices at the cycle instant, power/budget as a counter.
-        const double est = e.num_or("estimate_s") * kMicro;
-        const double pol = e.num_or("policy_s") * kMicro;
-        const double act = e.num_or("actuate_s") * kMicro;
-        w.slice("cycle", ts, est + pol + act,
-                ChromeWriter::args(
-                    {{"total_power_w", e.num_or("total_power_w")},
-                     {"budget_w", e.num_or("budget_w")},
-                     {"feasible", e.num_or("feasible", 1.0)},
-                     {"downgrade_steps", e.num_or("downgrade_steps")}}));
-        w.slice("estimate", ts, est, {});
-        w.slice("policy", ts + est, pol, {});
-        w.slice("actuate", ts + est + pol, act, {});
+        // The engine's end-of-cycle record: the cycle as an instant,
+        // power/budget as a counter.
+        w.instant("cycle", ts,
+                  ChromeWriter::args(
+                      {{"total_power_w", e.num_or("total_power_w")},
+                       {"budget_w", e.num_or("budget_w")},
+                       {"feasible", e.num_or("feasible", 1.0)},
+                       {"downgrade_steps", e.num_or("downgrade_steps")}}));
         w.counter("cpu power (W)", ts,
                   ChromeWriter::args(
                       {{"power", e.num_or("total_power_w")},

@@ -21,9 +21,9 @@
 //                      serialize, and losslessly convertible to the exact
 //                      JSONL bytes (doubles travel as raw bits).
 //   write_chrome_trace Chrome trace-event JSON (open in Perfetto or
-//                      chrome://tracing): per-cycle stage costs as duration
-//                      slices, power/budget/frequency as counter tracks,
-//                      triggers and idle transitions as instant events.
+//                      chrome://tracing): cycles, triggers and idle
+//                      transitions as instant events, power/budget/frequency
+//                      as counter tracks.
 // check_journal verifies scheduling invariants over a journal and
 // diff_journals compares two runs — the engine behind tools/fvsst_inspect.
 #pragma once
@@ -72,10 +72,9 @@ enum class EventType {
   /// "total_power_w".
   kInfeasibleBudget,
   /// Cycle applied: "total_power_w", "budget_w", "feasible",
-  /// "downgrade_steps", plus this cycle's measured stage cost
-  /// ("estimate_s", "policy_s", "actuate_s").  The cluster daemon also
-  /// emits deferred per-node applies with str "stage" = "node_apply" and
-  /// "node", "cluster_power_w".
+  /// "downgrade_steps".  The cluster daemon also emits deferred per-node
+  /// applies with str "stage" = "node_apply" and "node",
+  /// "cluster_power_w".
   kActuation,
   /// An injected or observed fault: str "kind" (a sim::FaultKind wire
   /// name), str "state" (enter | exit) for windowed faults, plus
@@ -381,10 +380,9 @@ enum class JournalFormat { kJsonl, kBinary };
 JournalFormat detect_journal_format(std::istream& in);
 
 /// Writes Chrome trace-event JSON (load in Perfetto or chrome://tracing).
-/// The timeline is simulated time in microseconds; each cycle's measured
-/// stage costs render as nested duration slices at the cycle instant,
-/// power/budget and per-CPU granted/desired frequency render as counter
-/// tracks, and triggers/idle transitions/infeasible budgets as instants.
+/// The timeline is simulated time in microseconds; cycles, triggers, idle
+/// transitions and infeasible budgets render as instants, power/budget and
+/// per-CPU granted/desired frequency as counter tracks.
 void write_chrome_trace(std::ostream& out, const EventLog& log);
 
 /// Outcome of check_journal.

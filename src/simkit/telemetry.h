@@ -6,9 +6,8 @@
 // hand-rolled trace members, a MetricRegistry owns the traces under
 // structured keys ("cpu3/granted_hz") and exports them through pluggable
 // sinks: the in-memory TimeSeries themselves, one-CSV-per-metric
-// directories, or JSON lines.  Scalar counters (cycle counts, per-stage
-// wall time) live alongside the series so daemon overhead is a first-class
-// metric rather than an estimated constant.
+// directories, or JSON lines.  Scalar counters (cycle counts) live
+// alongside the series.
 #pragma once
 
 #include <cstddef>
@@ -159,7 +158,7 @@ class CsvDirectorySink final : public MetricSink {
 
 /// Writes one JSON object per line:
 ///   {"metric":"cpu0/granted_hz","name":"granted_hz","samples":[[t,v],...]}
-///   {"metric":"loop/policy_s","value":0.00012}
+///   {"metric":"loop/cycles","value":12}
 class JsonLinesSink final : public MetricSink {
  public:
   explicit JsonLinesSink(std::ostream& out) : out_(out) {}

@@ -1,6 +1,6 @@
 // Tests for the shared control-loop engine (core/control_loop.h) and the
 // telemetry registry (simkit/telemetry.h): stage wiring, EWMA estimate
-// smoothing, per-stage timing counters, and metric export.
+// smoothing, byte-stable telemetry, and metric export.
 #include "core/control_loop.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "core/daemon.h"
 #include "mach/machine_config.h"
 #include "power/budget.h"
+#include "run_bytes.h"
 #include "simkit/event_log.h"
 #include "simkit/fault_plan.h"
 #include "simkit/telemetry.h"
@@ -136,43 +137,41 @@ TEST(IpcEstimator, InvalidIntervalKeepsLastEstimateUnlessReset) {
   EXPECT_FALSE(views2[0].estimate.valid);  // stateless host behaviour
 }
 
-// --- Stage timing counters ------------------------------------------------
+// --- Telemetry ------------------------------------------------------------
 
-TEST(ControlLoopTimings, StagesAreCountedAndPublished) {
+/// Journal and telemetry bytes of one SMP daemon run with an off-lattice
+/// budget drop (a budget-triggered cycle that restarts T).
+std::string smp_run_bytes(AdvanceMode mode) {
   Rig rig;
   rig.cluster.core({0, 1}).add_workload(
       workload::make_uniform_synthetic(50.0, 1e12));
+  rig.sim.schedule_at(0.5037, [&rig] { rig.budget.set_limit_w(300.0); });
+  sim::EventLog journal;
+  DaemonConfig cfg;
+  cfg.journal = &journal;
+  cfg.advance_mode = mode;
   FvsstDaemon daemon(rig.sim, rig.cluster, rig.machine.freq_table, rig.budget,
-                     DaemonConfig{});
+                     cfg);
   rig.sim.run_for(1.001);
-
-  const ControlLoopTimings& t = daemon.loop().timings();
-  // 100 ticks at t = 10 ms; each T boundary (10 of them) runs the cycle.
-  EXPECT_EQ(t.sample.invocations, 100u);
-  EXPECT_EQ(t.estimate.invocations, daemon.schedules_run());
-  EXPECT_EQ(t.policy.invocations, daemon.schedules_run());
-  EXPECT_EQ(t.actuate.invocations, daemon.schedules_run());
-  EXPECT_GT(t.policy.total_s, 0.0);
-  EXPECT_GE(t.cycle_total_s(),
-            t.estimate.total_s + t.policy.total_s + t.actuate.total_s - 1e-12);
-  EXPECT_GE(t.policy.mean_s(), 0.0);
-
-  // The same numbers are published as telemetry counters.
-  const auto& reg = daemon.telemetry();
-  EXPECT_DOUBLE_EQ(reg.counter_value("loop/cycles"),
+  EXPECT_GT(daemon.schedules_run(), 10u);
+  EXPECT_DOUBLE_EQ(daemon.telemetry().counter_value("loop/cycles"),
                    static_cast<double>(daemon.schedules_run()));
-  EXPECT_DOUBLE_EQ(reg.counter_value("loop/policy_count"),
-                   static_cast<double>(daemon.schedules_run()));
-  EXPECT_DOUBLE_EQ(reg.counter_value("loop/policy_s"), t.policy.total_s);
+  return run_bytes(journal, &daemon.telemetry());
 }
 
-TEST(ControlLoopTimings, SteadyStateLoopDoesNoRegistryLookups) {
+TEST(ControlLoopTelemetry, ByteStableAcrossRunsAndAdvanceModes) {
+  // Everything the engine records is simulated, so the same inputs give
+  // the same bytes on every run and in either advance mode.
+  const std::string tick = smp_run_bytes(AdvanceMode::kTick);
+  EXPECT_EQ(tick, smp_run_bytes(AdvanceMode::kTick));
+  EXPECT_EQ(tick, smp_run_bytes(AdvanceMode::kEvent));
+}
+
+TEST(ControlLoopTelemetry, SteadyStateLoopDoesNoRegistryLookups) {
   // Regression guard for the interned-handle migration: after the first
-  // scheduling cycles have lazily resolved the loop/* counter handles
-  // (base counters on the first publish, each stage's quantile trio on its
-  // first nonempty sample set), the hot loop must never touch the
-  // registry's hash map again — no key rebuilding, no hashing, no
-  // allocation in steady state.
+  // scheduling cycle has lazily resolved the loop/cycles handle, the hot
+  // loop must never touch the registry's hash map again — no key
+  // rebuilding, no hashing, no allocation in steady state.
   Rig rig;
   rig.cluster.core({0, 0}).add_workload(
       workload::make_uniform_synthetic(50.0, 1e12));
@@ -213,7 +212,7 @@ TEST(ControlLoopTraces, DisabledTracesRegisterNothing) {
   EXPECT_EQ(daemon.telemetry().series_count(), 0u);
   EXPECT_EQ(daemon.granted_freq_trace(0).size(), 0u);
   EXPECT_EQ(daemon.predicted_ipc_trace(2).size(), 0u);
-  // Counters (stage timings) are still published.
+  // The cycle counter is still published.
   EXPECT_GT(daemon.telemetry().counter_value("loop/cycles"), 0.0);
 }
 

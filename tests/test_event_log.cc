@@ -393,7 +393,8 @@ TEST(EventLogDaemon, ChromeTraceIsBalancedJson) {
   ASSERT_FALSE(trace.empty());
   EXPECT_EQ(trace.rfind("{\"displayTimeUnit\"", 0), 0u);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);  // slices
+  EXPECT_NE(trace.find("{\"name\":\"cycle\",\"ph\":\"i\""),
+            std::string::npos);  // cycles as instants
   EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);  // counters
 
   // Structurally valid: braces and brackets balance outside strings.

@@ -19,6 +19,7 @@
 #include "core/daemon.h"
 #include "mach/machine_config.h"
 #include "power/budget.h"
+#include "run_bytes.h"
 #include "simkit/event_log.h"
 #include "simkit/fault_plan.h"
 #include "simkit/telemetry.h"
@@ -152,42 +153,6 @@ TEST(CoreSkipAhead, SamplingGridValidation) {
 
 // --- Whole-daemon byte-identity -------------------------------------------
 
-bool is_wall_clock_field(const std::string& key) {
-  return key == "estimate_s" || key == "policy_s" || key == "actuate_s" ||
-         key == "sample_s" || key == "cycle_s";
-}
-
-std::string normalized_jsonl(const sim::EventLog& log) {
-  std::string out;
-  for (const sim::Event& e : log.events()) {
-    sim::Event copy = e;
-    std::erase_if(copy.num,
-                  [](const auto& kv) { return is_wall_clock_field(kv.first); });
-    sim::append_event_jsonl(out, copy);
-  }
-  return out;
-}
-
-/// Telemetry export with the host wall-clock counters (loop/*_s and the
-/// quantile trios) stripped; counts and every simulation-fact metric stay.
-std::string normalized_metrics(const sim::MetricRegistry& telemetry) {
-  std::ostringstream metrics;
-  sim::JsonLinesSink sink(metrics);
-  telemetry.export_to(sink);
-  std::ostringstream out;
-  std::istringstream lines(metrics.str());
-  for (std::string line; std::getline(lines, line);) {
-    const auto metric = line.find("\"metric\":\"");
-    const auto name_end = line.find('"', metric + 10);
-    if (metric != std::string::npos && name_end != std::string::npos &&
-        line.compare(name_end - 2, 2, "_s") == 0) {
-      continue;
-    }
-    out << line << '\n';
-  }
-  return out.str();
-}
-
 void append_core_state(std::ostringstream& out, cluster::Cluster& cluster) {
   for (const auto& addr : cluster.all_procs()) {
     auto& core = cluster.core(addr);
@@ -237,8 +202,7 @@ SmpRun run_smp(core::AdvanceMode mode, bool per_cpu_threads = false,
   sim.run_for(3.0);
 
   std::ostringstream out;
-  out << normalized_jsonl(journal);
-  out << normalized_metrics(daemon.telemetry());
+  out << run_bytes(journal, &daemon.telemetry());
   append_core_state(out, cluster);
   SmpRun r;
   r.fingerprint = out.str();
@@ -333,8 +297,7 @@ ClusterRun run_cluster(core::AdvanceMode mode, int threads,
   sim.run_for(2.5);
 
   std::ostringstream out;
-  out << normalized_jsonl(journal);
-  out << normalized_metrics(daemon.telemetry());
+  out << run_bytes(journal, &daemon.telemetry());
   append_core_state(out, cluster);
   ClusterRun r;
   r.fingerprint = out.str();
@@ -396,7 +359,7 @@ TEST(EventModeCluster, FaultsAndFailoverForceTickFallback) {
     core::ClusterDaemon daemon(sim, cluster, machine.freq_table, budget, cfg);
     sim.run_for(2.0);
     std::ostringstream out;
-    out << normalized_jsonl(journal);
+    out << run_bytes(journal);
     append_core_state(out, cluster);
     return out.str();
   };

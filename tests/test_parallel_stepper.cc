@@ -18,6 +18,7 @@
 #include "core/cluster_daemon.h"
 #include "mach/machine_config.h"
 #include "power/budget.h"
+#include "run_bytes.h"
 #include "simkit/event_log.h"
 #include "simkit/fault_plan.h"
 #include "simkit/telemetry.h"
@@ -80,25 +81,6 @@ TEST(StepPool, SingleThreadRunsInline) {
 
 // --- Serial-vs-parallel equivalence ---------------------------------------
 
-/// The journal's actuation events carry host wall-clock stage timings
-/// (estimate_s and friends) that measure this machine, not the simulated
-/// cluster; strip them before comparing runs.
-bool is_wall_clock_field(const std::string& key) {
-  return key == "estimate_s" || key == "policy_s" || key == "actuate_s" ||
-         key == "sample_s" || key == "cycle_s";
-}
-
-std::string normalized_jsonl(const sim::EventLog& log) {
-  std::string out;
-  for (const sim::Event& e : log.events()) {
-    sim::Event copy = e;
-    std::erase_if(copy.num,
-                  [](const auto& kv) { return is_wall_clock_field(kv.first); });
-    sim::append_event_jsonl(out, copy);
-  }
-  return out;
-}
-
 struct Scenario {
   const char* name;
   bool standby = false;
@@ -107,8 +89,8 @@ struct Scenario {
 };
 
 /// One cluster run at the given thread count; returns everything the
-/// simulation can observe: the normalized journal, the telemetry export,
-/// and the final per-core state.
+/// simulation can observe: the journal, the telemetry export, and the
+/// final per-core state.
 std::string run_scenario(const Scenario& sc, int threads) {
   sim::Simulation sim;
   sim::Rng rng(23);
@@ -142,23 +124,7 @@ std::string run_scenario(const Scenario& sc, int threads) {
   sim.run_for(2.5);
 
   std::ostringstream out;
-  out << normalized_jsonl(journal);
-  // Telemetry: everything except the loop/*_s counters, which accumulate
-  // host wall-clock stage costs (the *_count and cycle counters are
-  // simulation facts and must match).
-  std::ostringstream metrics;
-  sim::JsonLinesSink sink(metrics);
-  daemon.telemetry().export_to(sink);
-  std::istringstream metric_lines(metrics.str());
-  for (std::string line; std::getline(metric_lines, line);) {
-    const auto metric = line.find("\"metric\":\"");
-    const auto name_end = line.find('"', metric + 10);
-    if (metric != std::string::npos && name_end != std::string::npos &&
-        line.compare(name_end - 2, 2, "_s") == 0) {
-      continue;
-    }
-    out << line << '\n';
-  }
+  out << run_bytes(journal, &daemon.telemetry());
   for (const auto& addr : cluster.all_procs()) {
     auto& core = cluster.core(addr);
     char buf[160];

@@ -20,6 +20,7 @@
 #include "mach/machine_config.h"
 #include "power/budget.h"
 #include "proptest.h"
+#include "run_bytes.h"
 #include "simkit/event_log.h"
 #include "simkit/fault_plan.h"
 #include "simkit/units.h"
@@ -604,49 +605,24 @@ TEST(TransportDaemon, DatagramUnderSameChannelKeepsInvariants) {
   EXPECT_GT(count_type(journal, sim::EventType::kMessageCorrupt), 0u);
 }
 
-// Deep event comparison ignoring the host wall-clock stage timings, which
-// measure this machine rather than the simulated cluster.
-void expect_journals_identical(const sim::EventLog& a, const sim::EventLog& b) {
-  auto is_wall_clock = [](const std::string& key) {
-    return key == "estimate_s" || key == "policy_s" || key == "actuate_s" ||
-           key == "sample_s" || key == "cycle_s";
-  };
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const sim::Event& ea = a.events()[i];
-    const sim::Event& eb = b.events()[i];
-    ASSERT_EQ(ea.type, eb.type) << "event " << i;
-    ASSERT_DOUBLE_EQ(ea.t, eb.t) << "event " << i;
-    ASSERT_EQ(ea.cpu, eb.cpu) << "event " << i;
-    ASSERT_EQ(ea.num.size(), eb.num.size()) << "event " << i;
-    for (std::size_t k = 0; k < ea.num.size(); ++k) {
-      ASSERT_EQ(ea.num[k].first, eb.num[k].first) << "event " << i;
-      if (is_wall_clock(ea.num[k].first)) continue;
-      ASSERT_DOUBLE_EQ(ea.num[k].second, eb.num[k].second)
-          << "event " << i << " key " << ea.num[k].first;
-    }
-    ASSERT_EQ(ea.str, eb.str) << "event " << i;
-  }
-}
-
 TEST(TransportDaemon, ReliableUnderFaultsIsBitDeterministic) {
   const sim::FaultPlan plan = adversarial_plan();
   sim::EventLog a;
   run_daemon(cluster::TransportMode::kReliable, &plan, &a, nullptr);
   sim::EventLog b;
   run_daemon(cluster::TransportMode::kReliable, &plan, &b, nullptr);
-  expect_journals_identical(a, b);
+  EXPECT_EQ(run_bytes(a), run_bytes(b));
 
   // Neither the parallel node stepper nor event-driven time advance may
   // perturb the retransmit schedule.
   sim::EventLog threaded;
   run_daemon(cluster::TransportMode::kReliable, &plan, &threaded, nullptr,
              /*step_threads=*/4);
-  expect_journals_identical(a, threaded);
+  EXPECT_EQ(run_bytes(a), run_bytes(threaded));
   sim::EventLog event_mode;
   run_daemon(cluster::TransportMode::kReliable, &plan, &event_mode, nullptr,
              /*step_threads=*/1, core::AdvanceMode::kEvent);
-  expect_journals_identical(a, event_mode);
+  EXPECT_EQ(run_bytes(a), run_bytes(event_mode));
 }
 
 TEST(TransportDaemon, CleanChannelReliableCostsNothing) {

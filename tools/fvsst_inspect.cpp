@@ -151,10 +151,9 @@ int run_to_jsonl(const std::string& journal_path,
 }
 
 /// --chrome-trace: convert the journal into Chrome trace-event JSON.  The
-/// trace writer needs cross-event context (stage slices nest under their
-/// cycle, counter tracks close at the run's end), so this mode loads the
-/// journal whole — the tolerant load, like every other mode, so a torn
-/// tail still converts.
+/// trace writer takes a whole EventLog, so this mode loads the journal
+/// whole — the tolerant load, like every other mode, so a torn tail still
+/// converts.
 int run_chrome_trace(const std::string& journal_path,
                      const std::string& out_path) {
   const sim::EventLog log = load(journal_path);

@@ -1,7 +1,7 @@
 // fvsst_report - Renders a decision journal (fvsst_sim --journal) as one
-// self-contained HTML page: run summary, alert timeline, per-stage latency
-// quantiles, frequency residency, and power-vs-budget — everything inline
-// (CSS + SVG), no external assets, so the file mails/archives as-is.
+// self-contained HTML page: run summary, alert timeline, frequency
+// residency, and power-vs-budget — everything inline (CSS + SVG), no
+// external assets, so the file mails/archives as-is.
 //
 // Usage:
 //   fvsst_report JOURNAL [--metrics FILE] [--out OUT.html]
@@ -11,8 +11,7 @@
 // the tolerant readers accept a torn final record.  --metrics embeds a
 // Prometheus text snapshot (fvsst_sim --metrics-out) verbatim in its own
 // section.  The page carries stable section ids (#summary, #alerts,
-// #latency, #residency, #power, #metrics) so scripts and tests can anchor
-// on them.
+// #residency, #power, #metrics) so scripts and tests can anchor on them.
 //
 // The journal is consumed in one streaming pass; report state is bounded
 // by the run's variety (rules, frequencies, event types) except the power
@@ -116,9 +115,6 @@ struct ReportData {
   std::size_t alerts_raised = 0;
   std::size_t alerts_cleared = 0;
 
-  // Per-stage latency (wall-clock seconds measured by the daemon).
-  sim::SampleSet estimate_s, policy_s, actuate_s, cycle_s;
-
   // Frequency residency: decision counts per granted frequency; decisions
   // land at uniform sampling instants, so counts track time share.
   sim::CategoryHistogram residency;
@@ -160,17 +156,8 @@ struct ReportData {
       case sim::EventType::kActuation: {
         // Cluster journals also emit deferred per-node applies (str
         // "stage" = node_apply); only top-level actuations carry the
-        // cycle's stage costs and the aggregate power/budget pair.
+        // aggregate power/budget pair.
         if (e.find_str("stage")) break;
-        const double est = e.num_or("estimate_s", -1.0);
-        const double pol = e.num_or("policy_s", -1.0);
-        const double act = e.num_or("actuate_s", -1.0);
-        if (est >= 0.0) estimate_s.add(est);
-        if (pol >= 0.0) policy_s.add(pol);
-        if (act >= 0.0) actuate_s.add(act);
-        if (est >= 0.0 && pol >= 0.0 && act >= 0.0) {
-          cycle_s.add(est + pol + act);
-        }
         if (e.has_num("total_power_w")) {
           add_power_point(e.t, e.num_or("total_power_w"),
                           e.num_or("budget_w"));
@@ -446,35 +433,6 @@ void render_alerts(std::ostream& out, const ReportData& d) {
   out << "</table>\n</section>\n";
 }
 
-void render_latency(std::ostream& out, const ReportData& d) {
-  out << "<section id=\"latency\"><h2>Per-stage latency</h2>\n";
-  if (d.cycle_s.count() == 0 && d.estimate_s.count() == 0) {
-    out << "<p class=\"empty\">No actuation events carried stage costs.</p>\n"
-        << "</section>\n";
-    return;
-  }
-  out << "<p>Measured wall-clock cost of each scheduling stage, exact order "
-         "statistics over every cycle.</p>\n"
-      << "<table>\n<tr><th>stage</th><th>cycles</th><th>mean</th><th>p50</th>"
-         "<th>p90</th><th>p99</th><th>max</th></tr>\n";
-  const auto stage_row = [&](const char* name, const sim::SampleSet& s) {
-    if (s.count() == 0) return;
-    const auto us = [](double seconds) { return fmt(seconds * 1e6, 2); };
-    out << "<tr><td>" << name << "</td><td class=\"num\">" << s.count()
-        << "</td><td class=\"num\">" << us(s.mean())
-        << "</td><td class=\"num\">" << us(s.percentile(0.50))
-        << "</td><td class=\"num\">" << us(s.percentile(0.90))
-        << "</td><td class=\"num\">" << us(s.percentile(0.99))
-        << "</td><td class=\"num\">" << us(s.max()) << "</td></tr>\n";
-  };
-  stage_row("estimate", d.estimate_s);
-  stage_row("policy", d.policy_s);
-  stage_row("actuate", d.actuate_s);
-  stage_row("full cycle", d.cycle_s);
-  out << "</table>\n<p class=\"tick\">All values in microseconds.</p>\n"
-      << "</section>\n";
-}
-
 void render_residency(std::ostream& out, const ReportData& d) {
   out << "<section id=\"residency\"><h2>Frequency residency</h2>\n";
   const auto entries = d.residency.sorted();
@@ -557,12 +515,11 @@ void render_page(std::ostream& out, const std::string& journal_path,
          "</style>\n</head>\n<body>\n"
          "<h1>fvsst run report</h1>\n"
          "<nav><a href=\"#summary\">summary</a><a href=\"#alerts\">alerts</a>"
-         "<a href=\"#latency\">latency</a><a href=\"#residency\">residency"
+         "<a href=\"#residency\">residency"
          "</a><a href=\"#power\">power</a><a href=\"#metrics\">metrics</a>"
          "</nav>\n";
   render_summary(out, journal_path, d);
   render_alerts(out, d);
-  render_latency(out, d);
   render_residency(out, d);
   render_power(out, d);
   render_metrics(out, metrics_path, metrics_text);
@@ -582,8 +539,8 @@ int main(int argc, char** argv) {
           "usage: fvsst_report JOURNAL [--metrics FILE] [--out OUT.html]\n"
           "Renders a decision journal (fvsst_sim --journal; JSONL or .fjb,\n"
           "sniffed automatically) as one self-contained HTML page: run\n"
-          "summary, alert timeline, per-stage latency quantiles, frequency\n"
-          "residency and power-vs-budget, all inline SVG/CSS.\n"
+          "summary, alert timeline, frequency residency and\n"
+          "power-vs-budget, all inline SVG/CSS.\n"
           "  --metrics FILE  embed a Prometheus text snapshot\n"
           "                  (fvsst_sim --metrics-out) in the report\n"
           "  --out OUT.html  output path (default report.html)\n");
