@@ -1,6 +1,6 @@
 // bench_abl_variants - Ablation A5: the paper's two-pass procedure vs the
-// single-pass implementation it mentions as possible, vs the continuous
-// f_ideal extension it sketches for hardware with many frequency settings.
+// continuous f_ideal extension it sketches for hardware with many frequency
+// settings, plus a watts-per-loss pass-2 greedy beyond the paper.
 #include "bench/common.h"
 
 #include <chrono>
@@ -28,14 +28,14 @@ std::vector<core::ProcView> random_views(std::size_t n, sim::Rng& rng) {
 
 int main() {
   bench::banner("Ablation A5",
-                "Scheduler variants: two-pass vs single-pass vs continuous");
+                "Scheduler variants: two-pass vs continuous");
 
   const auto lat = mach::p630().latencies;
   const auto table = mach::p630_frequency_table();
   sim::Rng rng(77);
 
   // 1. Decision agreement & quality across 1000 random systems.
-  std::size_t agree_single = 0, agree_cont = 0, total = 0;
+  std::size_t agree_cont = 0, total = 0;
   double power_two = 0.0, power_cont = 0.0;
   double perf_ratio_greedy = 0.0;
   std::size_t ratio_wins = 0, paper_wins = 0, constrained = 0;
@@ -44,13 +44,10 @@ int main() {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 16));
     const auto views = random_views(n, rng);
     const double budget = rng.uniform(9.0 * n, 140.0 * n);
-    core::FrequencyScheduler::Options o2, o1, oc, ow;
-    o1.variant = core::SchedulerVariant::kSinglePass;
+    core::FrequencyScheduler::Options o2, oc, ow;
     oc.variant = core::SchedulerVariant::kContinuous;
     ow.variant = core::SchedulerVariant::kWattsPerLoss;
     const auto r2 = core::FrequencyScheduler(table, lat, o2)
-                        .schedule(views, budget);
-    const auto r1 = core::FrequencyScheduler(table, lat, o1)
                         .schedule(views, budget);
     const auto rc = core::FrequencyScheduler(table, lat, oc)
                         .schedule(views, budget);
@@ -58,7 +55,6 @@ int main() {
                         .schedule(views, budget);
     for (std::size_t p = 0; p < n; ++p) {
       ++total;
-      if (r2.decisions[p].hz == r1.decisions[p].hz) ++agree_single;
       if (r2.decisions[p].hz == rc.decisions[p].hz) ++agree_cont;
     }
     power_two += r2.total_cpu_power_w;
@@ -78,8 +74,6 @@ int main() {
     }
   }
   std::printf("Decision agreement with two-pass over 1000 random systems:\n");
-  std::printf("  single-pass: %5.1f%% (expected: 100%% — same greedy order)\n",
-              100.0 * static_cast<double>(agree_single) / total);
   std::printf("  continuous:  %5.1f%% (expected: high; snapping f_ideal up\n"
               "               can differ by one grid step)\n",
               100.0 * static_cast<double>(agree_cont) / total);
@@ -95,13 +89,12 @@ int main() {
   // 2. Scheduling-computation cost vs processor count (the continuous
   // variant's selling point for large frequency sets / big clusters).
   sim::TextTable out("Mean schedule() wall time (microseconds)");
-  out.set_header({"procs", "two-pass", "single-pass", "continuous"});
+  out.set_header({"procs", "two-pass", "continuous"});
   for (std::size_t n : {4u, 16u, 64u, 256u, 1024u}) {
     const auto views = random_views(n, rng);
     const double budget = 60.0 * static_cast<double>(n);
     std::vector<std::string> row{std::to_string(n)};
     for (auto variant : {core::SchedulerVariant::kTwoPass,
-                         core::SchedulerVariant::kSinglePass,
                          core::SchedulerVariant::kContinuous}) {
       core::FrequencyScheduler::Options opts;
       opts.variant = variant;
@@ -119,9 +112,9 @@ int main() {
   }
   out.print();
   std::printf(
-      "Expected: single-pass matches two-pass decisions exactly but scales\n"
-      "better on large clusters; the continuous variant avoids the\n"
-      "per-frequency scan entirely, which matters for hardware with many\n"
-      "or continuous settings (the paper's stated motivation).\n");
+      "Expected: both variants share the heap-driven pass 2; the continuous\n"
+      "variant also avoids pass 1's per-frequency scan, which matters for\n"
+      "hardware with many or continuous settings (the paper's stated\n"
+      "motivation).\n");
   return 0;
 }

@@ -84,10 +84,6 @@ BENCHMARK_TEMPLATE(BM_Schedule, core::SchedulerVariant::kTwoPass)
     ->RangeMultiplier(4)
     ->Range(4, 1024)
     ->Complexity();
-BENCHMARK_TEMPLATE(BM_Schedule, core::SchedulerVariant::kSinglePass)
-    ->RangeMultiplier(4)
-    ->Range(4, 1024)
-    ->Complexity();
 BENCHMARK_TEMPLATE(BM_Schedule, core::SchedulerVariant::kContinuous)
     ->RangeMultiplier(4)
     ->Range(4, 1024)

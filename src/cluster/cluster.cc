@@ -5,9 +5,20 @@
 namespace fvsst::cluster {
 
 Cluster::Cluster(std::vector<std::unique_ptr<Node>> nodes)
-    : nodes_(std::move(nodes)) {
+    : ledger_(std::make_unique<cpu::PowerLedger>()),
+      nodes_(std::move(nodes)) {
   if (nodes_.empty()) {
     throw std::invalid_argument("Cluster: no nodes");
+  }
+  ledger_->reserve(cpu_count(), nodes_.size());
+  for (const auto& n : nodes_) {
+    for (std::size_t c = 0; c < n->cpu_count(); ++c) {
+      cpu::Core& core = n->core(c);
+      core.attach_power_ledger(
+          ledger_.get(),
+          ledger_->add_cpu(n->machine().freq_table, core.frequency_hz()));
+    }
+    ledger_->close_group();
   }
 }
 
@@ -50,12 +61,6 @@ std::vector<ProcAddress> Cluster::all_procs() const {
     }
   }
   return out;
-}
-
-double Cluster::cpu_power_w() const {
-  double total = 0.0;
-  for (const auto& n : nodes_) total += n->cpu_power_w();
-  return total;
 }
 
 double Cluster::total_power_w() const {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/node.h"
+#include "cpu/power_ledger.h"
 
 namespace fvsst::cluster {
 
@@ -52,13 +53,21 @@ class Cluster {
   }
 
   /// Aggregate CPU power of the whole cluster (the quantity the paper's
-  /// budget constrains).
-  double cpu_power_w() const;
+  /// budget constrains).  Every core reports its set-point changes to a
+  /// ledger the cluster owns, so a query between frequency changes returns
+  /// the cached total in O(1); the first query after a change re-sums the
+  /// contiguous per-CPU watts.  The value is bit-identical to the walk
+  /// Σ_n node(n).cpu_power_w(), added node by node into 0.0.  Throws
+  /// std::out_of_range while any core sits at an off-table frequency.
+  double cpu_power_w() const { return ledger_->total_w(); }
 
   /// CPU power plus every node's non-CPU overhead.
   double total_power_w() const;
 
  private:
+  // Declared before nodes_ so every core is destroyed before the ledger it
+  // reports to; on the heap so the address the cores hold survives moves.
+  std::unique_ptr<cpu::PowerLedger> ledger_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

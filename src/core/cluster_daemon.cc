@@ -462,7 +462,8 @@ void ClusterDaemon::node_failsafe_tick(std::size_t node) {
     for (std::size_t c = 0; c < cluster_.node(node).cpu_count(); ++c) {
       cluster_.node(node).core(c).set_frequency(hz);
     }
-    power_trace_->add(now, cluster_.cpu_power_w());
+    const double power_w = cluster_.cpu_power_w();
+    power_trace_->add(now, power_w);
     if (config_.journal) {
       config_.journal->append(now, sim::EventType::kDegradedMode)
           .set("node", static_cast<double>(node))
@@ -474,7 +475,7 @@ void ClusterDaemon::node_failsafe_tick(std::size_t node) {
       // the inspector's compliance checks see the recovery.
       config_.journal->append(now, sim::EventType::kActuation)
           .set("node", static_cast<double>(node))
-          .set("cluster_power_w", cluster_.cpu_power_w())
+          .set("cluster_power_w", power_w)
           .set("failsafe", 1.0)
           .set("stage", std::string("node_apply"));
     }
@@ -488,11 +489,12 @@ void ClusterDaemon::node_failsafe_tick(std::size_t node) {
     for (std::size_t c = 0; c < cluster_.node(node).cpu_count(); ++c) {
       cluster_.node(node).core(c).set_frequency(hz);
     }
-    power_trace_->add(now, cluster_.cpu_power_w());
+    const double power_w = cluster_.cpu_power_w();
+    power_trace_->add(now, power_w);
     if (config_.journal) {
       config_.journal->append(now, sim::EventType::kActuation)
           .set("node", static_cast<double>(node))
-          .set("cluster_power_w", cluster_.cpu_power_w())
+          .set("cluster_power_w", power_w)
           .set("failsafe", 1.0)
           .set("stage", std::string("node_apply"));
     }
@@ -883,14 +885,15 @@ void ClusterDaemon::apply_on_node(
           << (last_applied_time_ - last_trigger_time_) * 1e3 << " ms";
     }
   }
-  power_trace_->add(sim_.now(), cluster_.cpu_power_w());
+  const double power_w = cluster_.cpu_power_w();
+  power_trace_->add(sim_.now(), power_w);
   if (config_.journal) {
     // The deferred, per-node half of the actuation: settings landed after
     // crossing the down channel.
     auto& event =
         config_.journal->append(sim_.now(), sim::EventType::kActuation)
             .set("node", static_cast<double>(node))
-            .set("cluster_power_w", cluster_.cpu_power_w());
+            .set("cluster_power_w", power_w);
     if (protocol_visible_ || (transport_visible_ && frame.seq > 0)) {
       event.set("epoch", static_cast<double>(envelope.epoch));
     }

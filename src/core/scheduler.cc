@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace fvsst::core {
@@ -99,51 +98,69 @@ void FrequencyScheduler::pass2_power_fit(std::vector<std::size_t>& idx,
                                          const Tables& tables,
                                          double power_budget_w,
                                          ScheduleResult& result) const {
-  auto total_power = [&] {
-    double w = 0.0;
-    for (std::size_t p = 0; p < idx.size(); ++p) {
-      w += (*tables[p])[idx[p]].watts;
-    }
-    return w;
-  };
-
-  double power = total_power();
+  double power = 0.0;
+  for (std::size_t p = 0; p < idx.size(); ++p) {
+    power += (*tables[p])[idx[p]].watts;
+  }
   // kPowerSlackW: `power` is maintained incrementally across downgrades,
   // so at a budget that equals a reachable configuration exactly the
   // running total can sit an ulp above it; a strict comparison would then
   // take a spurious extra downgrade (or report infeasible at the floor).
-  while (power > power_budget_w + mach::kPowerSlackW) {
-    // Pick the processor whose next-lower setting costs the least
-    // performance ("select n,p with smallest PerfLoss(f_max, f_less)").
-    std::size_t best_proc = procs.size();
-    double best_loss = std::numeric_limits<double>::infinity();
-    for (std::size_t p = 0; p < procs.size(); ++p) {
-      if (idx[p] == 0) continue;  // already at the floor
-      const auto& table = *tables[p];
-      const double candidate_hz = table[idx[p] - 1].hz;
-      // Idle or estimate-less processors lose nothing by slowing down.
-      const double loss =
-          (procs[p].idle && options_.idle_detection) || !procs[p].estimate.valid
-              ? 0.0
-              : loss_at(procs[p].estimate, candidate_hz, table.max_hz());
-      if (loss < best_loss) {
-        best_loss = loss;
-        best_proc = p;
-      }
+  const auto over_budget = [&] {
+    return power > power_budget_w + mach::kPowerSlackW;
+  };
+  if (!over_budget()) return;
+
+  // Each processor above its floor offers one candidate: its next-lower
+  // setting, keyed by the predicted loss there ("select n,p with smallest
+  // PerfLoss(f_max, f_less)").  A min-heap on (loss, proc) yields the
+  // greedy's choice in O(log N) per downgrade, ties to the lowest proc.
+  // Only losses < +inf are admitted — a scan keeping the strict minimum
+  // from +inf never picks anything else, NaN included.
+  struct Candidate {
+    double loss;
+    std::size_t proc;
+  };
+  const auto later = [](const Candidate& a, const Candidate& b) {
+    if (a.loss != b.loss) return a.loss > b.loss;
+    return a.proc > b.proc;
+  };
+  std::vector<Candidate> heap;
+  heap.reserve(procs.size());
+  const auto offer = [&](std::size_t p) {
+    if (idx[p] == 0) return;  // already at the floor
+    const auto& table = *tables[p];
+    const double candidate_hz = table[idx[p] - 1].hz;
+    // Idle or estimate-less processors lose nothing by slowing down.
+    const double loss =
+        (procs[p].idle && options_.idle_detection) || !procs[p].estimate.valid
+            ? 0.0
+            : loss_at(procs[p].estimate, candidate_hz, table.max_hz());
+    if (loss < std::numeric_limits<double>::infinity()) {
+      heap.push_back({loss, p});
+      std::push_heap(heap.begin(), heap.end(), later);
     }
-    if (best_proc == procs.size()) {
+  };
+  for (std::size_t p = 0; p < procs.size(); ++p) offer(p);
+
+  while (over_budget()) {
+    if (heap.empty()) {
       // Everyone is at the minimum point and the budget is still exceeded:
       // frequency scaling alone cannot satisfy it.
       result.feasible = false;
       break;
     }
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::size_t best = heap.back().proc;
+    heap.pop_back();
     if (options_.explain) {
-      record_downgrade(best_proc, idx[best_proc], procs, tables, result);
+      record_downgrade(best, idx[best], procs, tables, result);
     }
-    power -= (*tables[best_proc])[idx[best_proc]].watts;
-    --idx[best_proc];
-    power += (*tables[best_proc])[idx[best_proc]].watts;
+    power -= (*tables[best])[idx[best]].watts;
+    --idx[best];
+    power += (*tables[best])[idx[best]].watts;
     ++result.downgrade_steps;
+    offer(best);
   }
 }
 
@@ -195,73 +212,6 @@ ScheduleResult FrequencyScheduler::schedule_two_pass(
   }
   const std::vector<std::size_t> desired = idx;
   pass2_power_fit(idx, procs, tables, power_budget_w, result);
-  return finalize(procs, tables, desired, std::move(idx), reasons,
-                  std::move(result));
-}
-
-ScheduleResult FrequencyScheduler::schedule_single_pass(
-    const std::vector<ProcView>& procs, const Tables& tables,
-    double power_budget_w) const {
-  // Single sweep with a priority queue of candidate downgrades.  Decisions
-  // are identical to the two-pass procedure (verified by test): the greedy
-  // order of downgrades is the same, only the bookkeeping differs.
-  ScheduleResult result;
-  std::vector<std::size_t> idx(procs.size());
-  std::vector<Pass1Reason> reasons(procs.size());
-  double power = 0.0;
-  for (std::size_t p = 0; p < procs.size(); ++p) {
-    idx[p] = pass1_index(procs[p], *tables[p], &reasons[p]);
-    power += (*tables[p])[idx[p]].watts;
-  }
-  const std::vector<std::size_t> desired = idx;
-
-  struct Candidate {
-    double loss;
-    std::size_t proc;
-    std::size_t to_index;
-  };
-  struct Worse {
-    bool operator()(const Candidate& a, const Candidate& b) const {
-      if (a.loss != b.loss) return a.loss > b.loss;
-      return a.proc > b.proc;  // deterministic tie-break: lowest proc first
-    }
-  };
-  std::priority_queue<Candidate, std::vector<Candidate>, Worse> queue;
-  auto push_candidate = [&](std::size_t p) {
-    if (idx[p] == 0) return;
-    const auto& table = *tables[p];
-    const double hz = table[idx[p] - 1].hz;
-    const double loss =
-        (procs[p].idle && options_.idle_detection) || !procs[p].estimate.valid
-            ? 0.0
-            : loss_at(procs[p].estimate, hz, table.max_hz());
-    queue.push({loss, p, idx[p] - 1});
-  };
-  for (std::size_t p = 0; p < procs.size(); ++p) push_candidate(p);
-
-  while (power > power_budget_w + mach::kPowerSlackW) {
-    // Skip stale candidates (a proc may have been downgraded since).
-    bool applied = false;
-    while (!queue.empty()) {
-      const Candidate c = queue.top();
-      queue.pop();
-      if (c.to_index + 1 != idx[c.proc]) continue;  // stale entry
-      if (options_.explain) {
-        record_downgrade(c.proc, idx[c.proc], procs, tables, result);
-      }
-      power -= (*tables[c.proc])[idx[c.proc]].watts;
-      idx[c.proc] = c.to_index;
-      power += (*tables[c.proc])[idx[c.proc]].watts;
-      ++result.downgrade_steps;
-      push_candidate(c.proc);
-      applied = true;
-      break;
-    }
-    if (!applied) {
-      result.feasible = false;
-      break;
-    }
-  }
   return finalize(procs, tables, desired, std::move(idx), reasons,
                   std::move(result));
 }
@@ -368,8 +318,6 @@ ScheduleResult FrequencyScheduler::schedule(
   switch (options_.variant) {
     case SchedulerVariant::kTwoPass:
       return schedule_two_pass(procs, tables, power_budget_w);
-    case SchedulerVariant::kSinglePass:
-      return schedule_single_pass(procs, tables, power_budget_w);
     case SchedulerVariant::kContinuous:
       return schedule_continuous(procs, tables, power_budget_w);
     case SchedulerVariant::kWattsPerLoss:

@@ -14,11 +14,13 @@
 // scheduler "ignores the predictor and sets the frequency and voltage to
 // their minimum values".
 //
-// Three variants are provided: the paper's two-pass procedure, an
-// equivalent single-sweep implementation using a priority queue (the paper
-// notes "it is possible to implement in a single pass scheduler"), and the
-// continuous f_ideal extension that computes an ideal frequency per
-// processor and snaps it up onto the available grid.
+// Pass 2 takes each downgrade from a min-heap of per-processor candidates
+// (the paper notes "it is possible to implement in a single pass
+// scheduler"), so a round costs O((N + steps) log N) rather than a rescan
+// of every processor per step.  Besides the paper's two-pass procedure
+// there is the continuous f_ideal extension, which computes an ideal
+// frequency per processor and snaps it up onto the available grid before
+// the same pass 2, and a watts-per-loss pass-2 greedy (beyond the paper).
 #pragma once
 
 #include <cstddef>
@@ -95,7 +97,6 @@ struct ScheduleResult {
 /// Algorithm variants.
 enum class SchedulerVariant {
   kTwoPass,     ///< The paper's Figure 3 procedure.
-  kSinglePass,  ///< Priority-queue single sweep; same decisions as kTwoPass.
   kContinuous,  ///< f_ideal extension snapped onto the frequency grid.
   /// Beyond the paper: pass 2 downgrades the processor with the best
   /// watts-saved per *marginal* predicted-loss ratio instead of the
@@ -169,9 +170,6 @@ class FrequencyScheduler {
   ScheduleResult schedule_two_pass(const std::vector<ProcView>& procs,
                                    const Tables& tables,
                                    double power_budget_w) const;
-  ScheduleResult schedule_single_pass(const std::vector<ProcView>& procs,
-                                      const Tables& tables,
-                                      double power_budget_w) const;
   ScheduleResult schedule_continuous(const std::vector<ProcView>& procs,
                                      const Tables& tables,
                                      double power_budget_w) const;

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "cpu/power_ledger.h"
+
 namespace fvsst::cpu {
 namespace {
 
@@ -46,6 +48,9 @@ void Core::set_frequency(double hz) {
   sync();
   requested_hz_ = hz;
   effective_hz_ = throttle_.effective_hz(hz);
+  // Set-points move only on the simulation thread: StepPool workers advance
+  // cores but never actuate them, so the ledger needs no synchronisation.
+  if (ledger_) ledger_->set_frequency(ledger_slot_, hz);
 }
 
 PerfCounters Core::read_counters() {

@@ -42,6 +42,8 @@
 
 namespace fvsst::cpu {
 
+class PowerLedger;
+
 /// Simulated processor core.
 class Core {
  public:
@@ -85,8 +87,16 @@ class Core {
 
   /// Changes the core's frequency.  Takes effect immediately; the model is
   /// synchronised to the current time first so past work is charged at the
-  /// old frequency.
+  /// old frequency.  An attached PowerLedger is told of the new set-point.
   void set_frequency(double hz);
+
+  /// Reports every later set_frequency to `ledger` as processor `slot`
+  /// (cluster::Cluster attaches its cores to the ledger it owns).  The
+  /// ledger must stay valid for every later set_frequency.
+  void attach_power_ledger(PowerLedger* ledger, std::size_t slot) {
+    ledger_ = ledger;
+    ledger_slot_ = slot;
+  }
 
   /// Reads the monotonic counters (synchronises first).
   PerfCounters read_counters();
@@ -216,6 +226,9 @@ class Core {
   std::uint64_t grid_next_k_ = 0;  ///< Next unprocessed lattice index.
   std::vector<PerfCounters> history_;
   std::uint64_t advance_calls_ = 0;
+
+  PowerLedger* ledger_ = nullptr;  ///< Null for a core outside a Cluster.
+  std::size_t ledger_slot_ = 0;
 };
 
 }  // namespace fvsst::cpu

@@ -171,11 +171,17 @@ void append_number(std::string& out, double v) {
 }
 
 // String-buffer twin of write_json_string; the two must escape
-// identically for the streamed and end-of-run journals to match.
+// identically for the streamed and end-of-run journals to match.  Runs of
+// characters that need no escaping go out in one append each.
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
-    switch (c) {
+  std::size_t plain = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto u = static_cast<unsigned char>(s[i]);
+    if (u >= 0x20 && u != '"' && u != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
+    switch (u) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
@@ -183,18 +189,15 @@ void append_json_string(std::string& out, std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          const auto u = static_cast<unsigned char>(c);
-          out += "\\u00";
-          out += hex[u >> 4];
-          out += hex[u & 0xf];
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[u >> 4],
+                                kHex[u & 0xf]};
+        out.append(escaped, sizeof escaped);
+      }
     }
   }
+  out.append(s.data() + plain, s.size() - plain);
   out += '"';
 }
 

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "cluster/channel.h"
 #include "cluster/cluster.h"
@@ -89,6 +93,122 @@ TEST(Cluster, CoresRunIndependently) {
   EXPECT_GT(c.core({0, 0}).instructions_retired(),
             1.9 * c.core({1, 3}).instructions_retired());
   EXPECT_DOUBLE_EQ(c.core({0, 1}).instructions_retired(), 0.0);
+}
+
+// --- The cluster power ledger ---------------------------------------------
+
+// The walk Cluster::cpu_power_w() must reproduce bit for bit: each node's
+// own sum, added node by node into 0.0.
+double nested_power_w(const Cluster& c) {
+  double total = 0.0;
+  for (std::size_t n = 0; n < c.node_count(); ++n) {
+    total += c.node(n).cpu_power_w();
+  }
+  return total;
+}
+
+// The same watts added one CPU at a time: what a ledger that lost the node
+// nesting would return.
+double flat_power_w(const Cluster& c) {
+  double total = 0.0;
+  for (std::size_t n = 0; n < c.node_count(); ++n) {
+    const auto& table = c.node(n).machine().freq_table;
+    for (std::size_t cpu = 0; cpu < c.node(n).cpu_count(); ++cpu) {
+      total += table.power(c.node(n).core(cpu).frequency_hz());
+    }
+  }
+  return total;
+}
+
+TEST(ClusterPowerLedger, MatchesNestedWalkBitForBit) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  const mach::MachineConfig p630 = mach::p630();
+  mach::MachineConfig derated = mach::derated(p630, 800 * MHz, 0.913);
+  derated.num_cpus = 3;
+  std::vector<mach::MachineConfig> configs;
+  for (int i = 0; i < 8; ++i) configs.push_back(i % 3 == 1 ? derated : p630);
+  Cluster c = Cluster::heterogeneous(sim, configs, rng);
+
+  sim::Rng pick(2024);
+  const auto draw = [&](std::size_t count) {
+    return static_cast<std::size_t>(
+        pick.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  std::size_t order_sensitive = 0;
+  for (int step = 0; step < 10000; ++step) {
+    const std::size_t n = draw(c.node_count());
+    Node& node = c.node(n);
+    const auto& table = node.machine().freq_table;
+    const std::size_t cpu = draw(node.cpu_count());
+    const double hz = table[draw(table.size())].hz;
+    switch (draw(3)) {
+      case 0: c.core({n, cpu}).set_frequency(hz); break;
+      case 1: node.core(cpu).set_frequency(hz); break;
+      default:
+        if (draw(4) == 0) {
+          node.reset_to_max_frequency();
+        } else {
+          node.core(cpu).set_frequency(hz);
+        }
+    }
+    const double cached = c.cpu_power_w();
+    EXPECT_EQ(cached, nested_power_w(c)) << "step " << step;
+    EXPECT_EQ(c.cpu_power_w(), cached) << "step " << step;
+    if (flat_power_w(c) != cached) ++order_sensitive;
+    if (HasFailure()) break;
+  }
+  // The sweep visits states where summation order shows in the last bit,
+  // so only the nested order passes it.
+  EXPECT_GT(order_sensitive, 0u);
+}
+
+TEST(ClusterPowerLedger, RepeatedQueriesAndUnchangedSetPointsKeepTheValue) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  Cluster c = Cluster::homogeneous(sim, mach::p630(), 3, rng);
+  const double first = c.cpu_power_w();
+  EXPECT_EQ(c.cpu_power_w(), first);
+  c.core({1, 1}).set_frequency(c.core({1, 1}).frequency_hz());
+  EXPECT_EQ(c.cpu_power_w(), first);
+  c.core({1, 1}).set_frequency(500 * MHz);
+  EXPECT_EQ(c.cpu_power_w(), 11 * 140.0 + 35.0);
+  EXPECT_EQ(c.cpu_power_w(), 11 * 140.0 + 35.0);
+}
+
+TEST(ClusterPowerLedger, MovedClusterTracksLaterChanges) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  Cluster built = Cluster::homogeneous(sim, mach::p630(), 2, rng);
+  Cluster moved = std::move(built);
+  moved.core({1, 3}).set_frequency(250 * MHz);
+  EXPECT_EQ(moved.cpu_power_w(), 7 * 140.0 + 9.0);
+  Cluster assigned = Cluster::homogeneous(sim, mach::p630(), 1, rng);
+  assigned = std::move(moved);
+  assigned.node(0).core(0).set_frequency(500 * MHz);
+  EXPECT_EQ(assigned.cpu_power_w(), 6 * 140.0 + 9.0 + 35.0);
+  EXPECT_EQ(assigned.cpu_power_w(), nested_power_w(assigned));
+}
+
+TEST(ClusterPowerLedger, OffTableFrequencyThrowsUntilATablePointReturns) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  Cluster c = Cluster::homogeneous(sim, mach::p630(), 2, rng);
+  const double full = c.cpu_power_w();
+  // 333 MHz is in the core's range but not an operating point.
+  EXPECT_NO_THROW(c.core({1, 0}).set_frequency(333 * MHz));
+  EXPECT_THROW(c.cpu_power_w(), std::out_of_range);
+  EXPECT_THROW(c.node(1).cpu_power_w(), std::out_of_range);
+  EXPECT_NO_THROW(c.core({0, 2}).set_frequency(777 * MHz));
+  c.core({1, 0}).set_frequency(1 * GHz);
+  EXPECT_THROW(c.cpu_power_w(), std::out_of_range);  // {0, 2} still off
+  c.core({0, 2}).set_frequency(333 * MHz);
+  EXPECT_THROW(c.cpu_power_w(), std::out_of_range);
+  c.core({0, 2}).set_frequency(1 * GHz);
+  EXPECT_EQ(c.cpu_power_w(), full);
+  c.node(0).core(2).set_frequency(333 * MHz);
+  c.node(0).reset_to_max_frequency();
+  EXPECT_EQ(c.cpu_power_w(), full);
 }
 
 TEST(Channel, RejectsNegativeLatency) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "power/budget.h"
 #include "proptest.h"
 #include "simkit/rng.h"
+#include "simkit/telemetry.h"
 #include "simkit/units.h"
 #include "workload/synthetic.h"
 
@@ -103,6 +105,76 @@ TEST(EventLog, JsonlRoundTripPreservesPayload) {
   ASSERT_NE(cycle.find_str("trigger"), nullptr);
   EXPECT_EQ(*cycle.find_str("trigger"),
             "line\nbreak\tand \"quote\" \x01 end");
+}
+
+// The JSONL line of an event with one string field, split around the field
+// so each case checks the escaped key and value bytes alone.
+std::string jsonl_with(const std::string& key, const std::string& value) {
+  sim::Event e;
+  e.type = sim::EventType::kCycleStart;
+  e.set(key, value);
+  std::string out;
+  sim::append_event_jsonl(out, e);
+  return out;
+}
+
+TEST(EventLog, JsonlStringEscapingIsByteExact) {
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  const std::string plain_run(5000, 'x');
+  const std::string high = "caf\xc3\xa9 \x7f~";
+  const struct {
+    std::string raw;
+    std::string escaped;
+  } cases[] = {
+      {"", ""},
+      {"plain", "plain"},
+      {"\"start", "\\\"start"},
+      {"mid\\dle", "mid\\\\dle"},
+      {"end\n", "end\\n"},
+      {"\"\\\n\t\r\b\f", "\\\"\\\\\\n\\t\\r\\b\\f"},
+      {"a\x01\x1f" "b", "a\\u0001\\u001fb"},
+      {controls,
+       "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+       "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+       "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+       "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"},
+      {plain_run, plain_run},
+      {"\t" + plain_run + "\"" + plain_run + "\\",
+       "\\t" + plain_run + "\\\"" + plain_run + "\\\\"},
+      {high, high},
+  };
+  const std::string prefix = "{\"t\":0,\"type\":\"cycle_start\",";
+  for (const auto& c : cases) {
+    const std::string quoted = "\"" + c.escaped + "\"";
+    // As a value and as a key.
+    EXPECT_EQ(jsonl_with("k", c.raw), prefix + "\"k\":" + quoted + "}\n");
+    EXPECT_EQ(jsonl_with(c.raw, "v"), prefix + quoted + ":\"v\"}\n");
+    // The ostream twin the telemetry writers use escapes identically.
+    std::ostringstream twin;
+    sim::write_json_string(twin, c.raw);
+    EXPECT_EQ(twin.str(), quoted);
+  }
+  // Every control byte alone between plain characters.
+  for (int c = 0; c < 0x20; ++c) {
+    std::string escaped;
+    switch (c) {
+      case '\b': escaped = "\\b"; break;
+      case '\t': escaped = "\\t"; break;
+      case '\n': escaped = "\\n"; break;
+      case '\f': escaped = "\\f"; break;
+      case '\r': escaped = "\\r"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        escaped = buf;
+      }
+    }
+    const std::string raw = std::string("<") + static_cast<char>(c) + ">";
+    EXPECT_EQ(jsonl_with("k", raw),
+              prefix + "\"k\":\"<" + escaped + ">\"}\n")
+        << "byte " << c;
+  }
 }
 
 TEST(EventLog, JsonlClampsNonFiniteNumbers) {

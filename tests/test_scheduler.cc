@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "mach/machine_config.h"
+#include "pass2_reference.h"
 #include "simkit/rng.h"
 #include "simkit/units.h"
 #include "workload/mixes.h"
@@ -332,32 +336,72 @@ struct RandomCase {
 
 class SchedulerProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SchedulerProperty, SinglePassMatchesTwoPassAndBudgetHolds) {
+// One processor count per seed, 1 to 2048.
+constexpr std::size_t kSweepSizes[] = {
+    1,   2,   3,   4,   5,   6,   7,   8,    9,    10,   11,
+    12,  13,  16,  17,  24,  31,  32,  33,   48,   64,   65,
+    100, 127, 128, 255, 256, 511, 512, 1024, 1500, 2048};
+
+TEST_P(SchedulerProperty, HeapPass2MatchesScanReferenceAndBudgetHolds) {
   sim::Rng rng(GetParam());
-  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+  const std::size_t n =
+      kSweepSizes[(GetParam() - 1) % std::size(kSweepSizes)];
+  // A few shared estimates so equal losses tie across processors.
+  std::vector<WorkloadEstimate> shared(3);
+  for (auto& est : shared) {
+    est = make_estimate(rng.uniform(0.8, 2.0), rng.uniform(0.0, 20.0));
+  }
   std::vector<ProcView> procs(n);
   for (auto& p : procs) {
-    p.estimate = make_estimate(rng.uniform(0.8, 2.0), rng.uniform(0.0, 20.0));
+    const double kind = rng.uniform();
+    if (kind < 0.15) {
+      p.estimate = shared[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    } else if (kind < 0.2) {
+      p.estimate = WorkloadEstimate{};  // no estimate: loss 0, starts at f_max
+    } else {
+      p.estimate =
+          make_estimate(rng.uniform(0.8, 2.0), rng.uniform(0.0, 20.0));
+    }
     p.idle = rng.bernoulli(0.2);
   }
-  const double floor = 9.0 * static_cast<double>(n);
-  const double budget = rng.uniform(floor * 0.5, 140.0 * n * 1.1);
-
-  const auto two = make_scheduler(SchedulerVariant::kTwoPass)
-                       .schedule(procs, budget);
-  const auto one = make_scheduler(SchedulerVariant::kSinglePass)
-                       .schedule(procs, budget);
-
-  ASSERT_EQ(two.decisions.size(), one.decisions.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(two.decisions[i].hz, one.decisions[i].hz) << i;
+  // Every predicted loss of this estimate is NaN (infinite performance at
+  // every frequency): no scan ever picks it, so the heap must not either.
+  const bool with_nan = GetParam() % 3 == 0;
+  if (with_nan) {
+    WorkloadEstimate nan_loss;
+    nan_loss.valid = true;
+    nan_loss.alpha_inv = 1e-320;
+    nan_loss.mem_time_per_instr = 0.0;
+    const auto last = static_cast<std::int64_t>(n) - 1;
+    procs[static_cast<std::size_t>(rng.uniform_int(0, last))] =
+        ProcView{nan_loss, false};
   }
-  EXPECT_EQ(two.feasible, one.feasible);
-  EXPECT_EQ(two.downgrade_steps, one.downgrade_steps);
-  if (two.feasible) {
-    EXPECT_LE(two.total_cpu_power_w, budget + 1e-9);
-  } else {
-    EXPECT_DOUBLE_EQ(two.total_cpu_power_w, floor);
+  const mach::FrequencyTable table = mach::p630_frequency_table();
+  const std::vector<const mach::FrequencyTable*> tables(n, &table);
+  // From half the all-minimum floor to just above the pass-1 demand: most
+  // cases run pass 2, some are infeasible, a few need no downgrade.
+  const double floor = 9.0 * static_cast<double>(n);
+  const double demand =
+      make_scheduler().schedule(procs, 1e12).total_cpu_power_w;
+  const double budget = rng.uniform(floor * 0.5, demand * 1.05);
+
+  for (const auto variant :
+       {SchedulerVariant::kTwoPass, SchedulerVariant::kContinuous}) {
+    for (const bool explain : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " variant=" << static_cast<int>(variant)
+                   << " explain=" << explain);
+      FrequencyScheduler::Options opts;
+      opts.variant = variant;
+      opts.explain = explain;
+      const FrequencyScheduler sched(table, kLat, opts);
+      const auto r = expect_pass2_matches_scan(sched, procs, tables, budget);
+      if (r.feasible) {
+        EXPECT_LE(r.total_cpu_power_w, budget + 1e-9);
+      } else if (!with_nan) {
+        EXPECT_DOUBLE_EQ(r.total_cpu_power_w, floor);
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/scheduler.h"
 #include "mach/machine_config.h"
+#include "pass2_reference.h"
 #include "simkit/rng.h"
 #include "simkit/units.h"
 
@@ -119,33 +120,62 @@ TEST(HeteroScheduler, MemoryBoundOnSlowMachineStillSaturates) {
   EXPECT_LT(r.decisions[0].predicted_loss, 0.04);
 }
 
-TEST(HeteroScheduler, SinglePassMatchesTwoPassHeterogeneous) {
+TEST(HeteroScheduler, HeapPass2MatchesScanReferenceHeterogeneous) {
   const mach::FrequencyTable fast = mach::p630_frequency_table();
   const mach::FrequencyTable slow = slow_table();
   const mach::FrequencyTable leaky = leaky_table();
+  // Non-integer watts: running power totals round differently per order.
+  const mach::FrequencyTable derated =
+      mach::derated(mach::p630(), 800 * MHz, 0.913).freq_table;
+  const mach::FrequencyTable* options[] = {&fast, &slow, &leaky, &derated};
   sim::Rng rng(314);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<ProcView> procs(6);
-    std::vector<const mach::FrequencyTable*> tables(6);
-    const mach::FrequencyTable* options[] = {&fast, &slow, &leaky};
-    for (std::size_t p = 0; p < 6; ++p) {
-      procs[p].estimate =
-          make_estimate(rng.uniform(0.9, 2.0), rng.uniform(0.0, 15.0));
+  for (int trial = 0; trial < 61; ++trial) {
+    const std::size_t n = trial < 50 ? 6 : std::size_t{2} << (trial - 50);
+    // Shared estimates on shared tables tie; so do estimate-less CPUs.
+    const WorkloadEstimate shared[] = {
+        make_estimate(rng.uniform(0.9, 2.0), rng.uniform(0.0, 15.0)),
+        make_estimate(rng.uniform(0.9, 2.0), rng.uniform(0.0, 15.0))};
+    std::vector<ProcView> procs(n);
+    std::vector<const mach::FrequencyTable*> tables(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      const double kind = rng.uniform();
+      if (kind < 0.3) {
+        procs[p].estimate = shared[rng.uniform_int(0, 1)];
+      } else {
+        procs[p].estimate =
+            make_estimate(rng.uniform(0.9, 2.0), rng.uniform(0.0, 15.0));
+        procs[p].estimate.valid = kind > 0.4;
+      }
       procs[p].idle = rng.bernoulli(0.2);
-      tables[p] = options[rng.uniform_int(0, 2)];
+      tables[p] = options[rng.uniform_int(0, 3)];
     }
-    const double budget = rng.uniform(100.0, 800.0);
-    FrequencyScheduler::Options o1;
-    o1.variant = SchedulerVariant::kSinglePass;
-    const auto two = FrequencyScheduler(fast, kLat, {})
-                         .schedule(procs, tables, budget);
-    const auto one = FrequencyScheduler(fast, kLat, o1)
-                         .schedule(procs, tables, budget);
-    for (std::size_t p = 0; p < 6; ++p) {
-      ASSERT_DOUBLE_EQ(two.decisions[p].hz, one.decisions[p].hz)
-          << "trial " << trial << " proc " << p;
+    // One processor whose every predicted loss is NaN.
+    WorkloadEstimate nan_loss;
+    nan_loss.valid = true;
+    nan_loss.alpha_inv = 1e-320;
+    nan_loss.mem_time_per_instr = 0.0;
+    procs[n / 2] = ProcView{nan_loss, false};
+    // Between 90% of the all-minimum floor and the pass-1 demand, so most
+    // trials run pass 2 and some are infeasible.
+    double floor = 0.0;
+    for (const auto* t : tables) floor += t->min_point().watts;
+    const double demand = FrequencyScheduler(fast, kLat, {})
+                              .schedule(procs, tables, 1e12)
+                              .total_cpu_power_w;
+    const double budget = rng.uniform(0.9 * floor, demand);
+    for (const auto variant :
+         {SchedulerVariant::kTwoPass, SchedulerVariant::kContinuous}) {
+      for (const bool explain : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "trial " << trial << " variant "
+                     << static_cast<int>(variant) << " explain " << explain);
+        FrequencyScheduler::Options opts;
+        opts.variant = variant;
+        opts.explain = explain;
+        expect_pass2_matches_scan(FrequencyScheduler(fast, kLat, opts), procs,
+                                  tables, budget);
+      }
     }
-    EXPECT_EQ(two.feasible, one.feasible);
   }
 }
 

@@ -26,7 +26,7 @@
 //   --budget-at T:W      budget change at time T seconds (repeatable)
 //   --duration S         simulated seconds (default 10)
 //   --epsilon E          acceptable predicted loss (default 0.04)
-//   --variant V          two-pass | single-pass | continuous
+//   --variant V          two-pass | continuous
 //   --idle-signal V      os | halted | none     (default os)
 //   --t MS               sampling period t in ms (default 10)
 //   --multiplier N       T = N * t (default 10)
@@ -354,8 +354,6 @@ CliOptions parse_args(int argc, char** argv) {
       const std::string v = next_value(i, "--variant");
       if (v == "two-pass") {
         opts.scheduler.variant = core::SchedulerVariant::kTwoPass;
-      } else if (v == "single-pass") {
-        opts.scheduler.variant = core::SchedulerVariant::kSinglePass;
       } else if (v == "continuous") {
         opts.scheduler.variant = core::SchedulerVariant::kContinuous;
       } else {
