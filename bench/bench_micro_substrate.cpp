@@ -10,10 +10,11 @@
 //
 // `--smoke` skips google-benchmark entirely and runs the sim-throughput
 // regression gates instead: skip-ahead advance-call reduction, event-driven
-// daemon event-count reduction, binary-vs-JSONL serialize throughput, and
-// the monitor aggregators' per-observation cost.  The first two are
-// deterministic counters; the serialize and monitor gates are same-process
-// ratios (best of three passes), so machine load cancels out.
+// daemon event-count reduction, binary-vs-JSONL serialize throughput, the
+// monitor aggregators' per-observation cost, and two allocation pins (the
+// flat cluster daemon per round, a streamed journal per event).  The
+// counters are deterministic; the serialize and monitor gates are
+// same-process ratios (best of three passes), so machine load cancels out.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -461,6 +462,18 @@ double serialize_ns_per_event(Fn&& serialize, std::size_t iters) {
   return best;
 }
 
+/// Counts and discards every event, so a streaming EventLog's own cost is
+/// all that is measured.
+class NullJournalWriter final : public sim::JournalWriter {
+ public:
+  void write(const sim::Event&) override { ++events_; }
+  void flush() override {}
+  std::size_t events_written() const override { return events_; }
+
+ private:
+  std::size_t events_ = 0;
+};
+
 /// The sim-throughput floors from scripts/check.sh.  Exits nonzero when a
 /// regression eats the skip-ahead or binary-journal speedups this tier
 /// exists to protect.
@@ -615,12 +628,15 @@ int run_smoke() {
   }
 
   // Gate 5: a regression pin on the flat cluster daemon's steady-state
-  // allocation rate.  Pooled summaries, the shared grant snapshot and the
-  // into-buffer interval read keep the grant path itself off the heap;
+  // allocation rate.  Each node agent's own summary buffer and the shared
+  // grant snapshot (both reused once no in-flight delivery holds them) and
+  // the into-buffer interval read keep the grant path itself off the heap;
   // what remains per round is event re-arms and channel-message envelopes
   // (std::function + payload), measured at ~72/round on this scenario.
-  // The budget below pins that level — reintroducing per-round scratch
-  // vectors (per-node grant copies, fresh summary buffers) blows it.
+  // The budget below pins that level with ~18 allocations of room.  On
+  // these 4 nodes a fresh buffer for every summary and grant send (~2
+  // allocations per node per round) reads ~82 and passes, so the gate
+  // catches only larger regressions.
   {
     sim::Simulation sim;
     sim::Rng rng(11);
@@ -652,6 +668,46 @@ int run_smoke() {
                    "smoke FAIL: cluster grant path allocates %.2f/round "
                    "(budget 90) — per-round scratch is back\n",
                    per_round);
+      ++failures;
+    }
+  }
+
+  // Gate 6: a streaming journal recycles event payloads.  Each append()
+  // reuses the payload vectors of the event streamed before it, so after
+  // warm-up node_apply-shaped events (4 numbers and a `stage` string, all
+  // within std::string's small buffer) cost almost no allocations; what
+  // remains is std::deque chunk turnover, ~1 per 8 events.  Without the
+  // recycling each event grows its vectors from empty (~4 allocations).
+  {
+    NullJournalWriter writer;
+    sim::EventLog log;
+    log.stream_to(&writer);
+    const auto node_apply = [&log](std::size_t i) {
+      log.append(static_cast<double>(i) * 1e-4, sim::EventType::kActuation)
+          .set("node", static_cast<double>(i % 1000))
+          .set("cluster_power_w", 1.0e5 + static_cast<double>(i))
+          .set("epoch", 1.0)
+          .set("seq", static_cast<double>(i))
+          .set("stage", std::string("node_apply"));
+    };
+    constexpr std::size_t kWarmup = 1000;
+    constexpr std::size_t kEvents = 100000;
+    for (std::size_t i = 0; i < kWarmup; ++i) node_apply(i);
+    const std::size_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+    for (std::size_t i = kWarmup; i < kWarmup + kEvents; ++i) node_apply(i);
+    const std::size_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - allocs_before;
+    log.flush_stream();
+    const double per_event =
+        static_cast<double>(allocs) / static_cast<double>(kEvents);
+    std::printf("smoke: streamed journal: %zu allocs over %zu node_apply "
+                "events (%.3f/event)\n",
+                allocs, kEvents, per_event);
+    if (writer.events_written() != kWarmup + kEvents || per_event > 0.5) {
+      std::fprintf(stderr,
+                   "smoke FAIL: streamed journal allocates %.3f/event "
+                   "(budget 0.5) — payload recycling is gone\n",
+                   per_event);
       ++failures;
     }
   }

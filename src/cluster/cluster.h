@@ -54,12 +54,18 @@ class Cluster {
 
   /// Aggregate CPU power of the whole cluster (the quantity the paper's
   /// budget constrains).  Every core reports its set-point changes to a
-  /// ledger the cluster owns, so a query between frequency changes returns
-  /// the cached total in O(1); the first query after a change re-sums the
-  /// contiguous per-CPU watts.  The value is bit-identical to the walk
+  /// ledger the cluster owns.  When every table's watts are integers (P630
+  /// Table 1; see cpu::PowerLedger::exact), a set-point change updates the
+  /// total in O(1) and every query is O(1).  Otherwise (scaled derated
+  /// bins) a query between changes returns the cached total and the first
+  /// query after a change re-sums the contiguous per-CPU watts in O(N).
+  /// Either way the value is bit-identical to the walk
   /// Σ_n node(n).cpu_power_w(), added node by node into 0.0.  Throws
   /// std::out_of_range while any core sits at an off-table frequency.
   double cpu_power_w() const { return ledger_->total_w(); }
+
+  /// The ledger behind cpu_power_w().
+  const cpu::PowerLedger& power_ledger() const { return *ledger_; }
 
   /// CPU power plus every node's non-CPU overhead.
   double total_power_w() const;

@@ -38,6 +38,17 @@ bool plan_has_transport_faults(const sim::FaultPlan* plan) {
   return false;
 }
 
+/// The one-slot recycling rule for a message buffer that in-flight deliver
+/// closures share: `slot` is reused once no closure holds it any more
+/// (use_count() == 1), so copy-assignment keeps its capacity and steady
+/// state allocates nothing.  A buffer still in flight is left to the
+/// closures holding it and `slot` gets a fresh one.  O(1) per send.
+template <typename T>
+std::vector<T>& reusable_buffer(std::shared_ptr<std::vector<T>>& slot) {
+  if (slot.use_count() != 1) slot = std::make_shared<std::vector<T>>();
+  return *slot;
+}
+
 }  // namespace
 
 ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
@@ -501,16 +512,6 @@ void ClusterDaemon::node_failsafe_tick(std::size_t node) {
   }
 }
 
-template <typename T>
-std::shared_ptr<std::vector<T>> ClusterDaemon::acquire_pooled(
-    std::vector<std::shared_ptr<std::vector<T>>>& pool) {
-  for (auto& slot : pool) {
-    if (slot.use_count() == 1) return slot;
-  }
-  pool.push_back(std::make_shared<std::vector<T>>());
-  return pool.back();
-}
-
 void ClusterDaemon::node_send_summary(std::size_t node) {
   auto& agent = *agents_[node];
   agent.sampler.end_interval(sim_.now(), interval_scratch_);
@@ -532,19 +533,16 @@ void ClusterDaemon::node_send_summary(std::size_t node) {
   // supersedes a lost one by construction — but in reliable mode they are
   // sequenced for duplicate suppression and carry the node's cumulative
   // settings ack.
-  // The in-flight copy rides in a pooled buffer: copy-assignment reuses
-  // the slot's capacity, so a round's summaries cost no allocations once
-  // the pool is warm.
-  std::shared_ptr<std::vector<ProcView>> snapshot =
-      acquire_pooled(views_pool_);
-  *snapshot = agent.views;
+  // The in-flight copy rides in the agent's own buffer, free again once
+  // the previous summary has been delivered.
+  reusable_buffer(agent.summary) = agent.views;
   sending_node_ = static_cast<int>(node);
   cluster::Envelope envelope;
   envelope.epoch = down_transport_->node_ack_epoch(static_cast<int>(node));
   up_transport_->send(
       static_cast<int>(node), envelope,
       down_transport_->node_ack(static_cast<int>(node)), /*track=*/false,
-      [this, node, summary = std::move(snapshot)](const cluster::Frame& frame) {
+      [this, node, summary = agent.summary](const cluster::Frame& frame) {
         deliver_summary(node, *summary, frame);
       });
 }
@@ -784,19 +782,18 @@ void ClusterDaemon::fan_out(const Coordinator& from,
   }
 
   // Fan the round's grants back out over the network, each message fenced
-  // with the sender's epoch.  One pooled, refcounted snapshot of the whole
-  // round's frequencies is shared by every node's deliver closure (each
-  // reads its own slice by first_cpu), replacing the per-node fresh
-  // vectors; the slot recycles once no in-flight closure — including a
-  // reliable-mode retransmit slot — still references it.
+  // with the sender's epoch.  One refcounted snapshot of the whole round's
+  // frequencies is shared by every node's deliver closure (each reads its
+  // own slice by first_cpu); the buffer recycles once no in-flight
+  // closure — including a reliable-mode retransmit slot — still holds it.
   const bool cut_off = from.partitioned(sim_.now());
   const cluster::Envelope envelope{from.epoch(), from.id()};
-  std::shared_ptr<std::vector<double>> grants = acquire_pooled(grant_pool_);
-  grants->resize(result.decisions.size());
+  std::vector<double>& grants = reusable_buffer(grants_);
+  grants.resize(result.decisions.size());
   for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-    (*grants)[i] = result.decisions[i].hz;
+    grants[i] = result.decisions[i].hz;
   }
-  const std::shared_ptr<const std::vector<double>> snapshot = grants;
+  const std::shared_ptr<const std::vector<double>> snapshot = grants_;
   for (std::size_t n = 0; n < agents_.size(); ++n) {
     if (cut_off) {
       journal_message_lost(static_cast<int>(n), "down", "partition");

@@ -257,6 +257,9 @@ class ClusterDaemon {
     IpcEstimator estimator;
     /// Latest local views; shipped wholesale as the summary message.
     std::vector<ProcView> views;
+    /// The buffer the last summary rode in: reused for the next one once
+    /// no in-flight delivery holds it, replaced otherwise.
+    std::shared_ptr<std::vector<ProcView>> summary;
     std::size_t first_cpu = 0;  ///< Flattened index of this node's cpu 0.
     int samples = 0;
   };
@@ -281,12 +284,6 @@ class ClusterDaemon {
   void node_send_summary(std::size_t node);
   void deliver_summary(std::size_t node, const std::vector<ProcView>& summary,
                        const cluster::Frame& frame);
-  /// Acquires a pool slot no in-flight closure references any more (or
-  /// grows the pool): the round-trip buffers for grants and summary
-  /// snapshots are recycled instead of allocated per node per round.
-  template <typename T>
-  static std::shared_ptr<std::vector<T>> acquire_pooled(
-      std::vector<std::shared_ptr<std::vector<T>>>& pool);
   void global_round(CycleTrigger trigger);
   void monitor_tick();
   /// Feeds the cluster rule inputs and evaluates the monitor (one summary
@@ -363,12 +360,10 @@ class ClusterDaemon {
   /// Scratch, sized per tick on the simulation thread: nodes whose crash
   /// fault is active (their cores must not gain a sync boundary).
   std::vector<char> node_skip_;
-  /// Recycled buffers for the per-round messaging: the round's grant
-  /// snapshot (shared by every node's deliver closure) and the in-flight
-  /// per-node summary copies.  A slot is reusable once its refcount drops
-  /// to the pool's own reference, so steady state allocates nothing.
-  std::vector<std::shared_ptr<std::vector<double>>> grant_pool_;
-  std::vector<std::shared_ptr<std::vector<ProcView>>> views_pool_;
+  /// The buffer the latest round's grants rode in, shared by every node's
+  /// deliver closure: reused once no in-flight delivery or retransmit slot
+  /// holds it, replaced otherwise.
+  std::shared_ptr<std::vector<double>> grants_;
   std::vector<IntervalSample> interval_scratch_;
   double last_trigger_time_ = -1.0;
   double last_applied_time_ = -1.0;

@@ -14,6 +14,10 @@ void PowerLedger::reserve(std::size_t cpus, std::size_t groups) {
 
 std::size_t PowerLedger::add_cpu(const mach::FrequencyTable& table,
                                  double hz) {
+  // Strictly below 2^53: a rounded running sum can then never hide a true
+  // sum past the last exactly representable integer.
+  watts_bound_sum_ += table.integer_watts_bound();
+  exact_ = exact_ && watts_bound_sum_ < 0x1p53;
   tables_.push_back(&table);
   watts_.push_back(std::numeric_limits<double>::quiet_NaN());
   ++off_table_;
@@ -33,10 +37,15 @@ void PowerLedger::set_frequency(std::size_t slot, double hz) {
   const double watts = index ? table[*index].watts
                              : std::numeric_limits<double>::quiet_NaN();
   const double old = watts_[slot];
+  watts_[slot] = watts;
   if (std::isnan(old)) --off_table_;
   if (!index) ++off_table_;
-  if (watts != old) stale_ = true;
-  watts_[slot] = watts;
+  if (watts == old) return;
+  if (exact_ && !stale_ && !std::isnan(watts) && !std::isnan(old)) {
+    total_w_ += watts - old;
+  } else {
+    stale_ = true;
+  }
 }
 
 double PowerLedger::total_w() const {

@@ -5,8 +5,10 @@
 // costs O(N) pointer chases per query, and the cluster daemons, sensors and
 // monitors query it far more often than any set-point moves.  A PowerLedger
 // keeps each processor's watts in one contiguous array (group-major: a
-// group is a node), is told of every set-point change by Core, and re-sums
-// only when some processor's watts changed since the last query.
+// group is a node) and is told of every set-point change by Core.  When
+// every table's watts are integers (P630 Table 1) the total is kept exactly
+// by adding each change's difference; otherwise a query after a change
+// re-sums the array.
 #pragma once
 
 #include <cstddef>
@@ -36,22 +38,34 @@ class PowerLedger {
   /// Closes the open group: the processors added since the last close.
   void close_group();
 
-  /// Records that processor `slot` now requests `hz`.  An off-table `hz` is
-  /// accepted and makes total_w() throw until a table point is set again.
+  /// Records that processor `slot` now requests `hz`.  O(1).  An off-table
+  /// `hz` is accepted and makes total_w() throw until a table point is set
+  /// again.
   void set_frequency(std::size_t slot, double hz);
 
   /// Sum over groups of (0.0 + w_0 + w_1 + ...), each group added left to
   /// right into a 0.0 cluster total: bit-identical to summing each node's
-  /// own walk.  Re-sums only after a processor's watts changed.  Throws
-  /// std::out_of_range while any processor sits at an off-table frequency,
-  /// as FrequencyTable::power does.
+  /// own walk.  O(1) when exact() holds; otherwise re-sums the array after
+  /// a processor's watts changed.  Throws std::out_of_range while any
+  /// processor sits at an off-table frequency, as FrequencyTable::power
+  /// does.
   double total_w() const;
+
+  /// Every table's watts are integers (FrequencyTable::
+  /// integer_watts_bound) and the sum over processors of each table's
+  /// largest watts is below 2^53.  Every partial sum is then an exactly
+  /// representable integer, so set_frequency() keeps the total by adding
+  /// the difference, which equals the nested fold bit for bit.
+  bool exact() const { return exact_; }
 
  private:
   std::vector<const mach::FrequencyTable*> tables_;
   std::vector<double> watts_;  ///< NaN while off-table.
   std::vector<std::size_t> group_end_;
   std::size_t off_table_ = 0;
+  bool exact_ = true;
+  /// Σ over processors of their table's integer_watts_bound().
+  double watts_bound_sum_ = 0.0;
   mutable double total_w_ = 0.0;
   mutable bool stale_ = true;
 };

@@ -1,6 +1,8 @@
 #include "mach/frequency_table.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace fvsst::mach {
@@ -22,6 +24,13 @@ FrequencyTable::FrequencyTable(std::vector<OperatingPoint> points)
     }
     if (i > 0 && points_[i - 1].hz == p.hz) {
       throw std::invalid_argument("FrequencyTable: duplicate frequency");
+    }
+    // The cast round trip is exact only for integers; NaN fails the bound.
+    if (p.watts < 0x1p52 &&
+        static_cast<double>(static_cast<std::int64_t>(p.watts)) == p.watts) {
+      integer_watts_bound_ = std::max(integer_watts_bound_, p.watts);
+    } else {
+      integer_watts_bound_ = std::numeric_limits<double>::infinity();
     }
   }
 }

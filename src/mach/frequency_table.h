@@ -88,8 +88,15 @@ class FrequencyTable {
   /// would be empty.
   FrequencyTable capped_at(double hz_cap) const;
 
+  /// The largest watts over the points when every watts value is an
+  /// integer below 2^52 (P630 Table 1), else +inf: what cpu::PowerLedger
+  /// needs to know whether its running total stays exact.  Computed once
+  /// at construction, so copies (one per node) carry it for free.
+  double integer_watts_bound() const { return integer_watts_bound_; }
+
  private:
   std::vector<OperatingPoint> points_;
+  double integer_watts_bound_ = 0.0;
 };
 
 }  // namespace fvsst::mach

@@ -88,7 +88,10 @@ const std::string* Event::find_str(std::string_view key) const {
 }
 
 Event& EventLog::append(double t, EventType type, int cpu) {
-  Event e;
+  // Reuse a streamed event's payload vectors (cleared, capacity kept).
+  Event e = std::move(recycled_);
+  e.num.clear();
+  e.str.clear();
   e.t = t;
   e.type = type;
   e.cpu = cpu;
@@ -133,6 +136,7 @@ void EventLog::flush_stream() {
 void EventLog::seal_into_stream() {
   while (!events_.empty()) {
     stream_->write(events_.front());
+    recycled_ = std::move(events_.front());
     events_.pop_front();
     ++streamed_;
   }

@@ -267,7 +267,11 @@ void append_event_binary(std::string& out, const Event& e);
 /// Unbounded logs can instead stream: attach a JournalWriter (JSONL or
 /// binary) and each event is serialized once its payload is final (when
 /// the next append arrives, or at flush_stream()) and released from
-/// memory, so an arbitrarily long run journals in O(1) space.
+/// memory, so an arbitrarily long run journals in O(1) space.  A streamed
+/// event's payload vectors are handed on to a later append(), cleared
+/// with their capacity kept, so steady-state streaming allocates nothing
+/// for payloads whose keys and string values fit std::string's small
+/// buffer.
 class EventLog {
  public:
   /// `capacity` 0 keeps everything (unbounded).
@@ -311,6 +315,9 @@ class EventLog {
   std::size_t streamed_ = 0;
   JournalWriter* stream_ = nullptr;
   std::deque<Event> events_;
+  /// The event seal_into_stream() handed to the writer last, kept for its
+  /// payload vectors' capacity (empty unless streaming).
+  Event recycled_;
 };
 
 /// Writes one JSON object per event, one per line:

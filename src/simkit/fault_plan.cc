@@ -109,7 +109,17 @@ std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-void FaultPlan::add(const FaultSpec& spec) { specs_.push_back(spec); }
+void FaultPlan::add(const FaultSpec& spec) {
+  const std::size_t position = specs_.size();
+  specs_.push_back(spec);
+  KindIndex& index = index_[static_cast<std::size_t>(spec.kind)];
+  index.all.push_back(position);
+  if (spec.target == -1) {
+    index.wildcard.push_back(position);
+  } else {
+    index.targeted[spec.target].push_back(position);
+  }
+}
 
 double FaultPlan::last_end_s() const {
   double last = 0.0;
@@ -119,12 +129,30 @@ double FaultPlan::last_end_s() const {
 
 const FaultSpec* FaultPlan::active(FaultKind kind, int target,
                                    double now) const {
-  for (const auto& spec : specs_) {
-    if (spec.kind != kind) continue;
-    if (spec.target != -1 && target != -1 && spec.target != target) continue;
-    if (now >= spec.start_s && now < spec.end_s) return &spec;
+  const KindIndex& index = index_[static_cast<std::size_t>(kind)];
+  if (index.all.empty()) return nullptr;
+  // The first open spec of each candidate list; plan order decides
+  // between the wildcard list and the target's own.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const auto first_open = [&](const std::vector<std::size_t>& positions,
+                              std::size_t before) {
+    for (const std::size_t p : positions) {
+      if (p >= before) break;
+      if (now >= specs_[p].start_s && now < specs_[p].end_s) return p;
+    }
+    return kNone;
+  };
+  std::size_t first = kNone;
+  if (target == -1) {
+    first = first_open(index.all, kNone);
+  } else {
+    first = first_open(index.wildcard, kNone);
+    if (const auto it = index.targeted.find(target);
+        it != index.targeted.end()) {
+      first = std::min(first, first_open(it->second, first));
+    }
   }
-  return nullptr;
+  return first == kNone ? nullptr : &specs_[first];
 }
 
 bool FaultPlan::chance(FaultKind kind, int target, double now,
@@ -207,6 +235,10 @@ FaultPlan FaultPlan::parse(std::istream& in) {
         parse_fail(line_no, "number out of range `" + val + "`");
       }
     }
+    if (spec.target < -1) {
+      parse_fail(line_no, "target must be >= 0 (or -1 for every target), "
+                          "got `" + std::to_string(spec.target) + "`");
+    }
     // Range validation per kind.  The negated comparisons also reject NaN
     // (every comparison with NaN is false), matching the strict-parsing
     // contract: a malformed plan fails loudly with its line number.
@@ -220,7 +252,7 @@ FaultPlan FaultPlan::parse(std::istream& in) {
       parse_fail(line_no, "channel_delay_spike delay must be >= 0, got `" +
                               std::to_string(spec.value) + "`");
     }
-    plan.specs_.push_back(spec);
+    plan.add(spec);
   }
   return plan;
 }
@@ -312,7 +344,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed,
         spec.value = 0.0;
         break;
     }
-    plan.specs_.push_back(spec);
+    plan.add(spec);
   }
   return plan;
 }

@@ -23,10 +23,13 @@
 // faults); target -1 matches every index.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace fvsst::sim {
@@ -140,6 +143,8 @@ class FaultPlan {
   FaultPlan() = default;
   explicit FaultPlan(std::uint64_t seed) : seed_(seed) {}
 
+  /// Appends `spec` and indexes it by kind and target (parse() and
+  /// random() build through here too).
   void add(const FaultSpec& spec);
 
   bool empty() const { return specs_.empty(); }
@@ -151,8 +156,10 @@ class FaultPlan {
   /// plan) — the earliest instant recovery can be asserted from.
   double last_end_s() const;
 
-  /// First spec of `kind` whose window contains `now` and whose target
-  /// matches `target` (spec target -1 matches anything); nullptr when none.
+  /// First spec (in plan order) of `kind` whose window contains `now` and
+  /// whose target matches `target`: spec target -1 matches any query, and
+  /// query target -1 matches every spec of the kind.  nullptr when none.
+  /// Visits only the kind's wildcard specs and those aimed at `target`.
   const FaultSpec* active(FaultKind kind, int target, double now) const;
 
   /// Deterministic Bernoulli draw tied to (seed, kind, target, now): the
@@ -174,7 +181,9 @@ class FaultPlan {
   /// Line syntax: KIND START END [cpu|node|sensor|coordinator|target=N]
   /// [value|stddev|p|delay|watts=V].  Throws std::runtime_error with a line
   /// number on malformed input — including numbers with trailing junk
-  /// ("cpu=1x"), which would otherwise silently truncate.
+  /// ("cpu=1x"), which would otherwise silently truncate, and targets below
+  /// -1.  Whether a target exists is the run's business (fvsst_sim checks
+  /// it against its node, CPU, coordinator and sensor counts).
   static FaultPlan parse(std::istream& in);
 
   /// Draws a random-but-reproducible plan for the chaos harness: window
@@ -182,8 +191,20 @@ class FaultPlan {
   static FaultPlan random(std::uint64_t seed, const RandomPlanOptions& opts);
 
  private:
+  /// Where one kind's specs sit in specs_.  Positions, not pointers, so a
+  /// copied plan's index stays valid.
+  struct KindIndex {
+    std::vector<std::size_t> all;       ///< Plan order.
+    std::vector<std::size_t> wildcard;  ///< Target -1, plan order.
+    /// Target -> that target's specs, plan order.
+    std::unordered_map<int, std::vector<std::size_t>> targeted;
+  };
+  static constexpr std::size_t kKinds =
+      static_cast<std::size_t>(FaultKind::kChannelCorrupt) + 1;
+
   std::uint64_t seed_ = 0;
   std::vector<FaultSpec> specs_;
+  std::array<KindIndex, kKinds> index_;
 };
 
 }  // namespace fvsst::sim

@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "baselines/optimal.h"
 #include "baselines/policies.h"
@@ -532,6 +536,134 @@ TEST(ChaosClusterCrash, SilentNodeAccountedAtFmaxUntilRestart) {
   }
   EXPECT_TRUE(saw_silent_enter);
   EXPECT_TRUE(saw_silent_exit);
+}
+
+// --- The fault plan's index against a linear scan -------------------------
+
+// The scan FaultPlan::active ran before it was indexed, kept as the oracle:
+// the first spec in plan order of `kind` whose window holds `now` and whose
+// target matches (-1 on either side matches anything).
+const sim::FaultSpec* scan_active(const sim::FaultPlan& plan,
+                                  sim::FaultKind kind, int target,
+                                  double now) {
+  for (const sim::FaultSpec& spec : plan.specs()) {
+    if (spec.kind != kind) continue;
+    if (spec.target != -1 && target != -1 && spec.target != target) continue;
+    if (now >= spec.start_s && now < spec.end_s) return &spec;
+  }
+  return nullptr;
+}
+
+// Every kind, every target in {-1, 0..max_target + 1}, and instants at
+// each window's start and end and one ulp either side of both: active()
+// must return the very spec the scan does.
+void expect_index_matches_scan(const sim::FaultPlan& plan, int max_target,
+                               const std::string& label) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> times = {-1.0, 0.0, plan.last_end_s() + 1.0};
+  for (const sim::FaultSpec& spec : plan.specs()) {
+    for (const double edge : {spec.start_s, spec.end_s}) {
+      times.insert(times.end(), {edge, std::nextafter(edge, -kInf),
+                                 std::nextafter(edge, kInf)});
+    }
+  }
+  std::size_t hits = 0;
+  for (int k = 0; k <= static_cast<int>(sim::FaultKind::kChannelCorrupt);
+       ++k) {
+    const auto kind = static_cast<sim::FaultKind>(k);
+    for (int target = -1; target <= max_target + 1; ++target) {
+      for (const double now : times) {
+        const sim::FaultSpec* expected = scan_active(plan, kind, target, now);
+        ASSERT_EQ(plan.active(kind, target, now), expected)
+            << label << ": kind " << sim::fault_kind_name(kind) << " target "
+            << target << " now " << now;
+        hits += expected != nullptr;
+      }
+    }
+  }
+  if (!plan.empty()) {
+    EXPECT_GT(hits, 0u) << label;
+  }
+}
+
+TEST(FaultPlanIndex, RandomPlansWithEveryKindMatchTheScan) {
+  sim::RandomPlanOptions opts;
+  opts.cpus = 8;
+  opts.nodes = 6;
+  opts.duration_s = 4.0;
+  opts.max_faults = 24;
+  opts.cluster_faults = true;
+  opts.coordinator_faults = true;
+  opts.transport_faults = true;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const sim::FaultPlan plan = sim::FaultPlan::random(seed, opts);
+    expect_index_matches_scan(plan, 8, "random seed " + std::to_string(seed));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(FaultPlanIndex, MixedWildcardAndTargetedSpecsMatchTheScan) {
+  // One kind's wildcard and targeted specs interleaved in plan order with
+  // overlapping windows (including an empty one), other kinds between
+  // them, the same target repeated and a wildcard opening inside a
+  // targeted window.
+  sim::FaultPlan added(11);
+  using K = sim::FaultKind;
+  added.add({K::kNodeCrash, 1.0, 3.0, 2, 0.0});
+  added.add({K::kChannelLoss, 0.0, 5.0, -1, 0.5});
+  added.add({K::kNodeCrash, 0.5, 2.0, -1, 0.0});
+  added.add({K::kNodeCrash, 1.5, 4.0, 2, 0.0});
+  added.add({K::kNodeCrash, 2.0, 2.0, 3, 0.0});
+  added.add({K::kChannelLoss, 1.0, 2.0, 4, 0.9});
+  added.add({K::kNodeCrash, 0.0, 10.0, 0, 0.0});
+  added.add({K::kNodeCrash, 2.5, 6.0, -1, 0.0});
+  added.add({K::kCoordinatorCrash, 1.0, 1.5, 1, 0.0});
+  added.add({K::kNodeCrash, 0.25, 0.75, 2, 0.0});
+  expect_index_matches_scan(added, 5, "added");
+
+  std::istringstream text(
+      "seed 4\n"
+      "channel_corrupt 0.5 1.5 node=1 p=0.5\n"
+      "channel_corrupt 0.0 1.0 p=0.2\n"
+      "actuation_reject 0.2 0.9 cpu=3\n"
+      "channel_corrupt 1.0 2.0 node=1 p=0.7\n"
+      "channel_corrupt 0.75 1.25 p=0.1\n"
+      "channel_corrupt 0.1 0.3 node=0 p=0.9\n"
+      "actuation_reject 0.0 0.5\n"
+      "actuation_reject 0.4 0.6 cpu=3\n");
+  const sim::FaultPlan parsed = sim::FaultPlan::parse(text);
+  ASSERT_EQ(parsed.size(), 8u);
+  expect_index_matches_scan(parsed, 4, "parsed");
+}
+
+TEST(FaultPlanIndex, CopiesOutliveTheOriginal) {
+  // The index holds positions, not pointers: a copy answers from its own
+  // specs after the original is gone (ASan catches a dangling index).
+  sim::FaultPlan copy;
+  {
+    sim::FaultPlan original(5);
+    original.add({sim::FaultKind::kNodeCrash, 0.0, 1.0, 3, 0.0});
+    original.add({sim::FaultKind::kNodeCrash, 0.0, 1.0, -1, 0.0});
+    copy = original;
+  }
+  const sim::FaultSpec* hit = copy.active(sim::FaultKind::kNodeCrash, 3, 0.5);
+  ASSERT_EQ(hit, &copy.specs()[0]);
+  EXPECT_EQ(copy.active(sim::FaultKind::kNodeCrash, 7, 0.5), &copy.specs()[1]);
+  expect_index_matches_scan(copy, 4, "copy");
+}
+
+TEST(FaultPlanParser, RejectsTargetBelowMinusOneWithLineNumber) {
+  std::istringstream ok("node_crash 0.1 0.2 node=-1\nnode_crash 0 1 node=0\n");
+  EXPECT_EQ(sim::FaultPlan::parse(ok).size(), 2u);
+  std::istringstream bad("seed 1\nnode_crash 0.1 0.2 node=-3\n");
+  try {
+    sim::FaultPlan::parse(bad);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("-3"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -120,6 +120,58 @@ double flat_power_w(const Cluster& c) {
   return total;
 }
 
+// ~10k seeded set-point changes through Cluster::core, Node::core and
+// Node::reset_to_max_frequency, one in ~40 of them to an off-table
+// frequency (333 MHz lies between P630 points) that a later change
+// returns from.  After every change the cached total must equal the nested
+// walk bit for bit, or throw while some core is off-table.  Returns how
+// many on-table states a flat CPU-by-CPU sum got wrong.
+std::size_t sweep_against_nested_walk(Cluster& c, std::uint64_t seed) {
+  sim::Rng pick(seed);
+  const auto draw = [&](std::size_t count) {
+    return static_cast<std::size_t>(
+        pick.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  std::vector<std::vector<char>> off_table(c.node_count());
+  for (std::size_t n = 0; n < c.node_count(); ++n) {
+    off_table[n].assign(c.node(n).cpu_count(), 0);
+  }
+  std::size_t off_cores = 0;
+  std::size_t order_sensitive = 0;
+  for (int step = 0; step < 10000 && !::testing::Test::HasFailure();
+       ++step) {
+    const std::size_t n = draw(c.node_count());
+    Node& node = c.node(n);
+    const auto& table = node.machine().freq_table;
+    const std::size_t cpu = draw(node.cpu_count());
+    const bool off = draw(40) == 0;
+    const double hz = off ? 333 * MHz : table[draw(table.size())].hz;
+    const std::size_t path = draw(3);
+    if (path == 2 && draw(4) == 0) {
+      node.reset_to_max_frequency();
+      for (char& was_off : off_table[n]) {
+        if (was_off) --off_cores;
+        was_off = 0;
+      }
+    } else {
+      cpu::Core& core = path == 0 ? c.core({n, cpu}) : node.core(cpu);
+      core.set_frequency(hz);
+      if (off_table[n][cpu]) --off_cores;
+      if (off) ++off_cores;
+      off_table[n][cpu] = off ? 1 : 0;
+    }
+    if (off_cores > 0) {
+      EXPECT_THROW(c.cpu_power_w(), std::out_of_range) << "step " << step;
+      continue;
+    }
+    const double cached = c.cpu_power_w();
+    EXPECT_EQ(cached, nested_power_w(c)) << "step " << step;
+    EXPECT_EQ(c.cpu_power_w(), cached) << "step " << step;
+    if (flat_power_w(c) != cached) ++order_sensitive;
+  }
+  return order_sensitive;
+}
+
 TEST(ClusterPowerLedger, MatchesNestedWalkBitForBit) {
   sim::Simulation sim;
   sim::Rng rng(1);
@@ -129,38 +181,45 @@ TEST(ClusterPowerLedger, MatchesNestedWalkBitForBit) {
   std::vector<mach::MachineConfig> configs;
   for (int i = 0; i < 8; ++i) configs.push_back(i % 3 == 1 ? derated : p630);
   Cluster c = Cluster::heterogeneous(sim, configs, rng);
-
-  sim::Rng pick(2024);
-  const auto draw = [&](std::size_t count) {
-    return static_cast<std::size_t>(
-        pick.uniform_int(0, static_cast<std::int64_t>(count) - 1));
-  };
-  std::size_t order_sensitive = 0;
-  for (int step = 0; step < 10000; ++step) {
-    const std::size_t n = draw(c.node_count());
-    Node& node = c.node(n);
-    const auto& table = node.machine().freq_table;
-    const std::size_t cpu = draw(node.cpu_count());
-    const double hz = table[draw(table.size())].hz;
-    switch (draw(3)) {
-      case 0: c.core({n, cpu}).set_frequency(hz); break;
-      case 1: node.core(cpu).set_frequency(hz); break;
-      default:
-        if (draw(4) == 0) {
-          node.reset_to_max_frequency();
-        } else {
-          node.core(cpu).set_frequency(hz);
-        }
-    }
-    const double cached = c.cpu_power_w();
-    EXPECT_EQ(cached, nested_power_w(c)) << "step " << step;
-    EXPECT_EQ(c.cpu_power_w(), cached) << "step " << step;
-    if (flat_power_w(c) != cached) ++order_sensitive;
-    if (HasFailure()) break;
-  }
+  // The x0.913 watts are not integers: every query after a change re-sums.
+  EXPECT_FALSE(c.power_ledger().exact());
   // The sweep visits states where summation order shows in the last bit,
   // so only the nested order passes it.
-  EXPECT_GT(order_sensitive, 0u);
+  EXPECT_GT(sweep_against_nested_walk(c, 2024), 0u);
+}
+
+TEST(ClusterPowerLedger, IntegerWattsTakeTheIncrementalPath) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  // P630 Table 1 only, nodes of 4, 2 and 1 CPUs.
+  std::vector<mach::MachineConfig> configs;
+  for (int i = 0; i < 9; ++i) {
+    mach::MachineConfig mc = mach::p630();
+    mc.num_cpus = i % 3 == 0 ? 4 : i % 3 == 1 ? 2 : 1;
+    configs.push_back(mc);
+  }
+  Cluster c = Cluster::heterogeneous(sim, configs, rng);
+  ASSERT_TRUE(c.power_ledger().exact());
+  // Integer sums are exact in any order, so the flat sum agrees too.
+  EXPECT_EQ(sweep_against_nested_walk(c, 7), 0u);
+  EXPECT_TRUE(c.power_ledger().exact());
+}
+
+TEST(ClusterPowerLedger, IntegerWattsPastTwoToThe53FallBackToResum) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  // P630's points with odd integer watts near 2^51: 4 CPUs per node sum
+  // past 2^53, where doubles stop holding every integer.
+  mach::MachineConfig huge = mach::p630();
+  std::vector<mach::OperatingPoint> points = huge.freq_table.points();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].watts = 0x1p51 + static_cast<double>(2 * i + 1);
+  }
+  huge.freq_table = mach::FrequencyTable(std::move(points));
+  Cluster c = Cluster::homogeneous(sim, huge, 8, rng);
+  EXPECT_FALSE(c.power_ledger().exact());
+  // Rounding shows: a flat sum (or a running difference) would drift.
+  EXPECT_GT(sweep_against_nested_walk(c, 99), 0u);
 }
 
 TEST(ClusterPowerLedger, RepeatedQueriesAndUnchangedSetPointsKeepTheValue) {

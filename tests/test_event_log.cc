@@ -620,21 +620,48 @@ TEST(JsonlStream, StreamedBytesMatchEndOfRunExport) {
   // Attach the stream before the run: every event travels through the
   // writer incrementally, and the file must still be byte-identical to
   // what write_jsonl would have produced from the full in-memory log.
-  const sim::EventLog reference = run_daemon_journal(/*explain=*/true);
+  sim::EventLog reference = run_daemon_journal(/*explain=*/true);
+  // Payloads that shrink from one event to the next, with keys and values
+  // past std::string's 15-char small buffer: a field carried over from
+  // the previous event would show in the bytes.
+  for (int i = 0; i < 6; ++i) {
+    sim::Event& e =
+        reference.append(2.0 + 0.01 * i, sim::EventType::kFault, i);
+    for (int k = 0; k < 6 - i; ++k) {
+      e.set("a_long_numeric_key_" + std::to_string(k), 0.5 * k + i);
+    }
+    for (int k = 0; k < 5 - i; ++k) {
+      e.set("a_long_string_key_" + std::to_string(k),
+            std::string(16 + k, static_cast<char>('a' + i)));
+    }
+  }
   std::ostringstream buffered;
   sim::write_jsonl(buffered, reference);
 
-  std::ostringstream streamed;
-  {
-    sim::JsonlStreamWriter writer(streamed, /*flush_bytes=*/256);
-    sim::EventLog log;
-    log.stream_to(&writer);
-    for (const sim::Event& e : reference.events()) log.push(e);
-    log.flush_stream();
-    EXPECT_EQ(log.streamed(), reference.size());
-    EXPECT_LE(log.size(), 1u);  // the tail never accumulates
+  // Streamed twice: pushing the finished events, and rebuilding each one
+  // through append().set() as producers do, which reuses the payload
+  // vectors of an event already streamed.
+  for (const bool rebuild : {false, true}) {
+    std::ostringstream streamed;
+    {
+      sim::JsonlStreamWriter writer(streamed, /*flush_bytes=*/256);
+      sim::EventLog log;
+      log.stream_to(&writer);
+      for (const sim::Event& e : reference.events()) {
+        if (!rebuild) {
+          log.push(e);
+          continue;
+        }
+        sim::Event& copy = log.append(e.t, e.type, e.cpu);
+        for (const auto& [key, value] : e.num) copy.set(key, value);
+        for (const auto& [key, value] : e.str) copy.set(key, value);
+      }
+      log.flush_stream();
+      EXPECT_EQ(log.streamed(), reference.size());
+      EXPECT_LE(log.size(), 1u);  // the tail never accumulates
+    }
+    EXPECT_EQ(streamed.str(), buffered.str()) << "rebuild " << rebuild;
   }
-  EXPECT_EQ(streamed.str(), buffered.str());
 }
 
 TEST(JsonlStream, AttachMidRunDrainsSealedPrefix) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mach/machine_config.h"
 #include "simkit/units.h"
 
@@ -37,6 +39,20 @@ TEST(FrequencyTable, RejectsEmptyDuplicatesAndNonPositive) {
   EXPECT_THROW(FrequencyTable({{0.0, 1.0, 10.0}}), std::invalid_argument);
   EXPECT_THROW(FrequencyTable({{1e9, -1.0, 10.0}}), std::invalid_argument);
   EXPECT_THROW(FrequencyTable({{1e9, 1.0, 0.0}}), std::invalid_argument);
+}
+
+TEST(FrequencyTable, IntegerWattsBound) {
+  EXPECT_EQ(small_table().integer_watts_bound(), 140.0);
+  const FrequencyTable copy = p630().freq_table;  // copies carry the bound
+  EXPECT_EQ(copy.integer_watts_bound(), 140.0);
+  EXPECT_EQ(copy.capped_at(600 * MHz).integer_watts_bound(), 48.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(FrequencyTable({{1e9, 1.0, 10.5}, {2e9, 1.1, 12.0}})
+                .integer_watts_bound(),
+            inf);
+  EXPECT_EQ(FrequencyTable({{1e9, 1.0, 0x1p52}}).integer_watts_bound(), inf);
+  EXPECT_EQ(derated(p630(), 800 * MHz, 0.913).freq_table.integer_watts_bound(),
+            inf);
 }
 
 TEST(FrequencyTable, IndexAndContains) {

@@ -494,6 +494,79 @@ sim::JournalFormat resolve_journal_format(const CliOptions& opts) {
               "; use .jsonl or .fjb, or pass --journal-format jsonl|binary");
 }
 
+/// Which targets a fault plan may name in this run, following
+/// sim::FaultKind: nodes for node and channel kinds, flattened CPUs for
+/// actuation kinds, the run's one power sensor (id 0) for sensor kinds,
+/// and the running coordinators for coordinator kinds (0 = primary or
+/// root, 1 = standby, 2.. = the tree's leaf coordinators).
+struct FaultTargets {
+  std::size_t nodes = 1;
+  std::size_t cpus = 1;
+  bool standby = false;
+  std::size_t leaf_coordinators = 0;
+};
+
+/// A one-line reason naming the first spec whose target the run does not
+/// have (such a spec would inject nothing, silently); empty when every
+/// target exists.  Target -1 names every target and always passes.
+std::string missing_fault_target(const sim::FaultPlan& plan,
+                                 const FaultTargets& run) {
+  const auto range = [](std::size_t first, std::size_t last) {
+    return first == last ? std::to_string(first)
+                         : std::to_string(first) + "-" + std::to_string(last);
+  };
+  for (const sim::FaultSpec& spec : plan.specs()) {
+    if (spec.target == -1) continue;
+    const long long target = spec.target;
+    const auto in = [target](std::size_t count) {
+      return target >= 0 && static_cast<std::size_t>(target) < count;
+    };
+    const char* unit = "node";
+    std::string valid = range(0, run.nodes - 1);
+    switch (spec.kind) {
+      case sim::FaultKind::kSensorDropout:
+      case sim::FaultKind::kSensorNoise:
+      case sim::FaultKind::kSensorStuck:
+        if (target == 0) continue;
+        unit = "sensor";
+        valid = "0";
+        break;
+      case sim::FaultKind::kActuationReject:
+      case sim::FaultKind::kActuationSticky:
+      case sim::FaultKind::kActuationDelay:
+        if (in(run.cpus)) continue;
+        unit = "cpu";
+        valid = range(0, run.cpus - 1);
+        break;
+      case sim::FaultKind::kCoordinatorCrash:
+      case sim::FaultKind::kPartition: {
+        const std::size_t leaves_end = 2 + run.leaf_coordinators;
+        if (target == 0 || (target == 1 && run.standby) ||
+            (target >= 2 && in(leaves_end))) {
+          continue;
+        }
+        unit = "coordinator";
+        valid = run.standby ? "0-1" : "0";
+        if (run.leaf_coordinators > 0) valid += ", " + range(2, leaves_end - 1);
+        break;
+      }
+      case sim::FaultKind::kChannelLoss:
+      case sim::FaultKind::kNodeCrash:
+      case sim::FaultKind::kStaleSummaries:
+      case sim::FaultKind::kChannelReorder:
+      case sim::FaultKind::kChannelDuplicate:
+      case sim::FaultKind::kChannelDelaySpike:
+      case sim::FaultKind::kChannelCorrupt:
+        if (in(run.nodes)) continue;
+        break;
+    }
+    return std::string(sim::fault_kind_name(spec.kind)) + " targets " +
+           unit + " " + std::to_string(target) + "; this run's " + unit +
+           " ids are " + valid;
+  }
+  return {};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -705,6 +778,15 @@ int main(int argc, char** argv) {
   } else {
     daemon = std::make_unique<core::FvsstDaemon>(
         sim, cluster, machine.freq_table, budget, dcfg);
+  }
+  if (have_faults) {
+    FaultTargets run;
+    run.nodes = cluster.node_count();
+    run.cpus = cluster.cpu_count();
+    run.standby = opts.standby;
+    if (tree_daemon) run.leaf_coordinators = tree_daemon->shard_count();
+    const std::string missing = missing_fault_target(fault_plan, run);
+    if (!missing.empty()) usage_error(opts.fault_plan_path + ": " + missing);
   }
 
   std::unique_ptr<cluster::JobManager> job_manager;
