@@ -104,8 +104,7 @@ ScaleResult run_cell(std::size_t nodes, int threads, double duration_s) {
 
 /// One scale cell: uniform load, a mid-run budget drop, and either the
 /// flat ClusterDaemon or the TreeDaemon.  Single-CPU nodes keep the core
-/// count equal to the node count so "nodes" is the honest scale axis, and
-/// event-driven advance gives both daemons their best stepping mode.
+/// count equal to the node count so "nodes" is the honest scale axis.
 /// Returns nodes * simulated seconds per wall second.
 double run_topology_cell(std::size_t nodes, bool tree, double duration_s) {
   sim::Simulation sim;
@@ -127,12 +126,10 @@ double run_topology_cell(std::size_t nodes, bool tree, double duration_s) {
   std::unique_ptr<core::TreeDaemon> tree_daemon;
   if (tree) {
     core::TreeDaemonConfig cfg;
-    cfg.advance_mode = core::AdvanceMode::kEvent;
     tree_daemon = std::make_unique<core::TreeDaemon>(
         sim, cluster, machine.freq_table, budget, cfg);
   } else {
     core::ClusterDaemonConfig cfg;
-    cfg.advance_mode = core::AdvanceMode::kEvent;
     flat_daemon = std::make_unique<core::ClusterDaemon>(
         sim, cluster, machine.freq_table, budget, cfg);
   }

@@ -1,15 +1,15 @@
 // parallel_stepper.h - Fixed-partition worker pool for the deterministic
 // parallel node stepper.
 //
-// The cluster daemon's per-tick hot work is advancing every node's lazily
-// synchronised core models up to the tick time.  Those advances touch only
-// per-core state — each core owns its RNG stream, sampling-grid cursor,
-// counter history and value-copied workload runners — so distinct nodes
-// can advance concurrently without changing a single bit of the result.
-// This holds in event-driven mode too: a pre-synced core subdivides the
-// skipped span at its own sampling grid (cpu::Core::set_sampling_grid),
-// reproducing exactly the sync boundaries the tick-driven serial run would
-// have used, entirely within per-core state.  Everything order-sensitive
+// The cluster daemons' hot work is advancing every node's lazily
+// synchronised core models up to a summary instant.  Those advances touch
+// only per-core state — each core owns its RNG stream, sampling-grid
+// cursor, counter history and value-copied workload runners — so distinct
+// nodes can advance concurrently without changing a single bit of the
+// result: a pre-synced core subdivides the skipped span at its own
+// sampling grid (cpu::Core::set_sampling_grid), reproducing exactly the
+// sync boundaries the serial run would have used, entirely within
+// per-core state.  Everything order-sensitive
 // (journal emission, channel sends, coordinator rounds, history replay
 // into the samplers) stays on the simulation thread, run in node order
 // after the pool joins.

@@ -95,8 +95,8 @@ struct TransportOptions {
   double min_ack_flight_s = 0.0;
   /// Period of the retransmit-timer scan.  One repeating simulation
   /// event drives all timers (exact per-message events would leak lazy
-  /// cancellations); deadlines quantize to this grid identically in
-  /// tick and event-driven advance modes.  Default: round_period_s / 10.
+  /// cancellations); deadlines quantize to this grid.  Default:
+  /// round_period_s / 10.
   double pump_period_s = 0.0;
 };
 

@@ -92,38 +92,28 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     flat += agent->sampler.cpu_count();
     agents_.push_back(std::move(agent));
   }
-  // Event-driven advance needs every tick-granular mechanism disabled:
-  // crash windows, fail-safe clocks and the election monitor all count
-  // ticks, so a non-empty fault plan or enabled failover forces the tick
-  // fallback (behaviour, not just timing, would diverge otherwise).
-  event_driven_ = config_.advance_mode == AdvanceMode::kEvent &&
-                  !(config_.fault_plan && !config_.fault_plan->empty()) &&
-                  !config_.failover.enabled();
-  if (event_driven_) {
-    // The lattice the merged agents clock would tick on: schedule_every
-    // fires first at now + t and anchors every re-arm on that first
-    // firing, so the first tick instant is the grid origin.
-    grid_origin_ = sim_.now() + config_.t_sample_s;
-    for (std::size_t n = 0; n < cluster_.node_count(); ++n) {
-      for (std::size_t c = 0; c < cluster_.node(n).cpu_count(); ++c) {
-        // The node agents charge no per-tick overhead (their cost is
-        // modelled as channel latency), so the grid only subdivides the
-        // advance and records snapshots for the samplers' replay.
-        cluster_.node(n).core(c).set_sampling_grid(
-            grid_origin_, config_.t_sample_s, /*recurring_steal_s=*/0.0,
-            /*record_history=*/true);
-      }
+  // The lattice the merged agents clock ticks on: schedule_every fires
+  // first at now + t and anchors every re-arm on that first firing, so the
+  // first tick instant is the grid origin.
+  grid_origin_ = sim_.now() + config_.t_sample_s;
+  for (std::size_t n = 0; n < cluster_.node_count(); ++n) {
+    for (std::size_t c = 0; c < cluster_.node(n).cpu_count(); ++c) {
+      // The node agents charge no per-tick overhead (their cost is
+      // modelled as channel latency), so the grid only subdivides the
+      // advance and records snapshots for the samplers' replay.
+      cluster_.node(n).core(c).set_sampling_grid(
+          grid_origin_, config_.t_sample_s, /*recurring_steal_s=*/0.0,
+          /*record_history=*/true);
     }
-  } else {
-    // One merged clock for every node's tick.  The agents share a period
-    // and phase, so N periodic events collapse into one whose action runs
-    // the node ticks in node order — the same execution order the per-node
-    // events produced (when-then-seq FIFO kept coincident ticks in node
-    // order) — and gives the parallel stepper a single point to pre-sync
-    // all live nodes' cores before any tick commits.
-    agents_tick_event_ =
-        sim_.schedule_every(config_.t_sample_s, [this] { agents_tick(); });
   }
+  node_crashed_.assign(cluster_.node_count(), 0);
+  // One merged clock for every node's tick.  The agents share a period and
+  // phase, so N periodic events collapse into one whose action runs the
+  // node ticks in node order — the same execution order the per-node
+  // events produced (when-then-seq FIFO kept coincident ticks in node
+  // order).
+  agents_tick_event_ =
+      sim_.schedule_every(config_.t_sample_s, [this] { agents_tick(); });
   if (config_.step_threads > 1) {
     step_pool_ = std::make_unique<cluster::StepPool>(config_.step_threads);
     // One contiguous slab per worker: the pre-sync sweeps linear SoA
@@ -285,24 +275,12 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     monitor_event_ =
         sim_.schedule_every(config_.t_sample_s, [this] { monitor_tick(); });
   }
-  if (event_driven_) {
-    // Scheduled after the global timer: at a coincident instant
-    // (zero-latency configs put global rounds on the tick lattice) the
-    // round must fire first, as it does in tick mode — there the tick's
-    // re-arm always carries a younger sequence number than the round's.
-    // Each later wake is scheduled from inside the previous one, after
-    // that instant's global re-arm, so the order holds inductively.
-    next_summary_k_ =
-        static_cast<std::uint64_t>(config_.schedule_every_n_samples);
-    schedule_summary_wake();
-  }
 }
 
 ClusterDaemon::~ClusterDaemon() {
   sim_.cancel(agents_tick_event_);
   sim_.cancel(global_event_);
   if (monitor_event_) sim_.cancel(monitor_event_);
-  if (summary_wake_event_) sim_.cancel(summary_wake_event_);
 }
 
 Coordinator::Wiring ClusterDaemon::make_wiring(
@@ -348,31 +326,22 @@ std::size_t ClusterDaemon::failsafe_node_count() const {
 }
 
 void ClusterDaemon::agents_tick() {
-  if (step_pool_) {
-    // Parallel pre-sync: advance every live node's cores to the tick time
-    // before the serial commits below.  Each core is advanced to exactly
-    // the boundary the serial run would sync it to (node_tick's counter
-    // read), by code that touches only that core's own state, so the
-    // result is bit-identical — the per-core advance draws its noise at
-    // the same chunk boundaries either way.  Crashed nodes must be left
-    // alone: their agents skip sampling, so a sync here would insert a
-    // chunk boundary (and extra noise draws) the serial run never has.
-    // The crash predicate is evaluated on this thread; workers only read
-    // the result.
-    const double now = sim_.now();
-    node_skip_.assign(agents_.size(), 0);
-    if (config_.fault_plan) {
-      for (std::size_t n = 0; n < agents_.size(); ++n) {
-        if (config_.fault_plan->active(sim::FaultKind::kNodeCrash,
-                                       static_cast<int>(n), now)) {
-          node_skip_[n] = 1;
-        }
-      }
-    }
+  const double now = sim_.now();
+  ++ticks_;
+  if (config_.fault_plan) crash_edges(now);
+  const bool summary_instant =
+      ticks_ % static_cast<std::uint64_t>(config_.schedule_every_n_samples) ==
+      0;
+  if (step_pool_ && summary_instant) {
+    // Parallel pre-sync: advance every live node's cores to the summary
+    // instant before the serial commits below.  The instant is a lattice
+    // point, a sync boundary of every live core whoever crosses it, so the
+    // result is bit-identical to the serial run's lazy advance — the
+    // per-core advance draws its noise at the same chunk boundaries either
+    // way.  Crashed nodes must be left alone (their grids are suspended);
+    // workers only read the mask.
     const unsigned char* skip =
-        node_skip_.empty()
-            ? nullptr
-            : reinterpret_cast<const unsigned char*>(node_skip_.data());
+        reinterpret_cast<const unsigned char*>(node_crashed_.data());
     step_pool_->run(shards_.size(), [this, now, skip](std::size_t s) {
       shards_[s].advance_to(now, skip);
     });
@@ -381,63 +350,47 @@ void ClusterDaemon::agents_tick() {
   // summary deliveries are all emitted here, on the simulation thread, in
   // node order — byte-identical to a serial run at any thread count.
   for (std::size_t n = 0; n < agents_.size(); ++n) node_tick(n);
-  // Monitor evaluation every n ticks — the same instants the event-mode
-  // summary wakes land on, so alert journals match across advance modes.
-  // Runs on the daemon's clock, after the node loop, even while every
-  // coordinator is down (coordinator silence is a rule, not an outage of
-  // the alerting itself).
-  if (config_.monitor &&
-      ++monitor_samples_ >= config_.schedule_every_n_samples) {
-    monitor_samples_ = 0;
-    monitor_sample();
-  }
+  // Monitor evaluation every n ticks.  Runs on the daemon's clock, after
+  // the node loop, even while every coordinator is down (coordinator
+  // silence is a rule, not an outage of the alerting itself).
+  if (config_.monitor && summary_instant) monitor_sample();
 }
 
-void ClusterDaemon::schedule_summary_wake() {
-  summary_wake_event_ = sim_.schedule_at(
-      grid_origin_ +
-          static_cast<double>(next_summary_k_ - 1) * config_.t_sample_s,
-      [this] { on_summary_wake(); });
-}
-
-void ClusterDaemon::on_summary_wake() {
-  // Event-mode summary instant: every node's agent folds the grid-recorded
-  // per-tick history (sampler.collect replays it) and ships its summary.
-  // The per-tick sample counter is bypassed — a wake *is* the n-th tick.
-  // Fault plans and failover force the tick fallback, so there are no
-  // crashed nodes or fail-safe clocks to consult here.
-  if (step_pool_) {
-    // Parallel pre-sync, same contract as agents_tick(): advance every
-    // node's cores to the wake time (the grid subdivides the span) before
-    // the serial node-ordered commits.
-    const double now = sim_.now();
-    step_pool_->run(shards_.size(), [this, now](std::size_t s) {
-      shards_[s].advance_to(now);
-    });
-  }
+void ClusterDaemon::crash_edges(double now) {
+  // A crashed node's agent reads no counters, so its cores must gain no
+  // sync boundary at the ticks it misses: at its first crashed tick they
+  // are brought to the previous tick (the last one the agent saw) and
+  // their grids suspended, so they advance in one piece until the first
+  // live tick resumes the lattice there.
   for (std::size_t n = 0; n < agents_.size(); ++n) {
-    agents_[n]->sampler.collect();
-    node_send_summary(n);
+    const char crashed = config_.fault_plan->active(sim::FaultKind::kNodeCrash,
+                                                    static_cast<int>(n), now)
+                             ? 1
+                             : 0;
+    if (crashed == node_crashed_[n]) continue;
+    node_crashed_[n] = crashed;
+    for (std::size_t c = 0; c < cluster_.node(n).cpu_count(); ++c) {
+      cpu::Core& core = cluster_.node(n).core(c);
+      if (crashed) {
+        if (ticks_ > 1) {
+          core.advance_to(grid_origin_ + static_cast<double>(ticks_ - 2) *
+                                             config_.t_sample_s);
+        }
+        core.suspend_sampling_grid();
+      } else {
+        core.resume_sampling_grid(now);
+      }
+    }
   }
-  // Same cadence and ordering as the tick path's every-n evaluation: after
-  // the node loop, at the summary instant.
-  if (config_.monitor) monitor_sample();
-  next_summary_k_ +=
-      static_cast<std::uint64_t>(config_.schedule_every_n_samples);
-  schedule_summary_wake();
 }
 
 void ClusterDaemon::node_tick(std::size_t node) {
-  // A crashed node's agent does nothing: no sampling, no summaries.  Its
-  // interval keeps accumulating and is shipped after the restart.
-  if (config_.fault_plan &&
-      config_.fault_plan->active(sim::FaultKind::kNodeCrash,
-                                 static_cast<int>(node), sim_.now())) {
-    return;
-  }
+  // A crashed node's agent does nothing: no sampling, no summaries, and
+  // its tick does not count.  Its interval keeps accumulating and is
+  // shipped after the restart.
+  if (node_crashed_[node]) return;
   if (config_.failover.node_failsafe_factor > 0.0) node_failsafe_tick(node);
   auto& agent = *agents_[node];
-  agent.sampler.collect();
   if (++agent.samples >= config_.schedule_every_n_samples) {
     agent.samples = 0;
     node_send_summary(node);

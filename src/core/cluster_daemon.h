@@ -89,31 +89,24 @@ struct ClusterDaemonConfig {
   /// node-local fail-safe).  Defaults keep everything off.
   FailoverConfig failover;
   /// Worker threads for the deterministic parallel node stepper.  At every
-  /// node-tick instant the live nodes' core models are advanced to the
-  /// tick time on a fixed partition of this many threads *before* the
-  /// serial, node-ordered tick commits run.  Any value produces
+  /// summary instant (every n ticks) the live nodes' core models are
+  /// advanced to the tick time on a fixed partition of this many threads
+  /// *before* the serial, node-ordered commits run.  Any value produces
   /// bit-identical journals, telemetry and schedules to 1 (the default):
   /// parallelism only relocates the pure per-core state advance, never the
-  /// ordered event processing, and each core is advanced to exactly the
-  /// sync boundaries the serial run would use.
+  /// ordered event processing, and a lattice instant is a sync boundary
+  /// of every live core whoever advances it.
   int step_threads = 1;
-  /// kEvent wakes the node agents only at summary instants (every n
-  /// node-ticks); the cores subdivide the skipped span on their sampling
-  /// grids (Core::set_sampling_grid), so summaries, rounds and journals
-  /// are byte-identical to kTick at ~1/n the event count.  The daemon
-  /// silently falls back to kTick when a non-empty fault plan is installed
-  /// or failover is enabled: crash windows, fail-safe clocks and election
-  /// monitors are tick-granular and must observe every tick.
-  AdvanceMode advance_mode = AdvanceMode::kTick;
+  /// Inert (see AdvanceMode); nothing reads it.
+  AdvanceMode advance_mode = AdvanceMode::kEvent;
   /// Online monitor (not owned; must outlive the daemon).  The daemon
   /// feeds the cluster rule inputs (over_budget_w, failsafe_frac,
   /// stale_frac, failover_breach, since_round_s, messages_lost,
-  /// journal_dropped) and evaluates once per summary instant — in both
-  /// advance modes the same instants, so monitored journals stay
-  /// byte-identical across kTick and kEvent.  Evaluation runs on the
-  /// daemon's own clock, not the coordinators', so alerting keeps working
-  /// while every coordinator is crashed (that silence is itself a rule).
-  /// Observation only: null leaves the run bit-for-bit unchanged.
+  /// journal_dropped) and evaluates once per summary instant (every n
+  /// ticks).  Evaluation runs on the daemon's own clock, not the
+  /// coordinators', so alerting keeps working while every coordinator is
+  /// crashed (that silence is itself a rule).  Observation only: null
+  /// leaves the run bit-for-bit unchanged.
   sim::monitor::Monitor* monitor = nullptr;
   /// Replaces the coordinators' default SchedulerPolicyStage when set (see
   /// core::PolicyStageFactory).  Both coordinators share the factory, and
@@ -132,6 +125,12 @@ struct ClusterDaemonConfig {
 };
 
 /// Global scheduler plus one agent per node.
+///
+/// Time advance: every core carries the sampling lattice
+/// (Core::set_sampling_grid), so a node agent reads its cores only when its
+/// summary is due.  One merged clock still fires every tick for the
+/// per-tick protocol state (crash edges, fail-safe clocks, live-tick
+/// counts, the monitor's every-n sample), but advances no core.
 ///
 /// Heterogeneous clusters are handled natively: each processor is
 /// scheduled against its own node's operating-point table (paper Sec. 5's
@@ -274,10 +273,9 @@ class ClusterDaemon {
   Coordinator::Wiring make_wiring(int id, bool initially_leader,
                                   const mach::FrequencyTable& table);
   void agents_tick();
-  void on_summary_wake();
-  /// Schedules the next event-mode summary wake at lattice index
-  /// next_summary_k_.
-  void schedule_summary_wake();
+  /// Tracks node crash edges at this tick, suspending or resuming the
+  /// crashing or restarting nodes' grids.
+  void crash_edges(double now);
   void node_tick(std::size_t node);
   void node_failsafe_tick(std::size_t node);
   double node_failsafe_hz(std::size_t node) const;
@@ -342,14 +340,11 @@ class ClusterDaemon {
   sim::EventId agents_tick_event_ = 0;  ///< The merged per-node tick clock.
   sim::EventId global_event_ = 0;   ///< The global scheduler's own timer.
   sim::EventId monitor_event_ = 0;  ///< Heartbeat/election clock (standby).
-  // Event-driven mode: grid_origin_ is the FIRST agents-tick instant (ctor
-  // time + t); summary wake k lands on grid_origin_ + (k-1) * t_sample_s
-  // in that exact floating-point form (the event queue's re-arm
-  // expression), so they compare equal to the node ticks they replace.
-  bool event_driven_ = false;
+  /// The FIRST tick instant (ctor time + t); tick m fires at grid_origin_
+  /// + (m-1) * t_sample_s in that exact floating-point form (the event
+  /// queue's re-arm expression), so ticks land on the cores' lattice.
   double grid_origin_ = 0.0;
-  std::uint64_t next_summary_k_ = 0;  ///< Tick number (1-based) of next summary.
-  sim::EventId summary_wake_event_ = 0;
+  std::uint64_t ticks_ = 0;  ///< Clock ticks so far (the current tick's number).
   /// Worker pool for the parallel pre-sync; null when step_threads <= 1.
   std::unique_ptr<cluster::StepPool> step_pool_;
   /// Locality-aware partition for the pre-sync: one contiguous node slab
@@ -357,9 +352,10 @@ class ClusterDaemon {
   /// `i mod N` interleave.  Built only when step_pool_ exists.
   std::unique_ptr<cluster::ShardMap> shard_map_;
   std::vector<cluster::Shard> shards_;
-  /// Scratch, sized per tick on the simulation thread: nodes whose crash
-  /// fault is active (their cores must not gain a sync boundary).
-  std::vector<char> node_skip_;
+  /// Per node: crashed at the latest tick.  A crashed node's cores have
+  /// their grids suspended and must gain no sync boundary, so this is also
+  /// the parallel pre-sync's skip mask.
+  std::vector<char> node_crashed_;
   /// The buffer the latest round's grants rode in, shared by every node's
   /// deliver closure: reused once no in-flight delivery or retransmit slot
   /// holds it, replaced otherwise.
@@ -389,7 +385,6 @@ class ClusterDaemon {
   /// failover_window_s value); the failover_breach rule input trips when a
   /// triggered round's applies are still pending past it.
   double failover_window_s_ = 0.0;
-  int monitor_samples_ = 0;  ///< Tick-mode countdown to the next evaluate.
   /// Round count at the last evaluate, to timestamp coordinator progress:
   /// since_round_s grows from the last evaluate that saw a fresh round.
   std::size_t mon_rounds_seen_ = 0;

@@ -90,10 +90,9 @@ void ControlLoop::prime(double now, const std::vector<double>& hz,
   }
 }
 
-bool ControlLoop::collect(double now) {
+void ControlLoop::collect(double now) {
   sampler_->collect();
   process_retries(now);
-  return ++samples_since_cycle_ >= config_.schedule_every_n_samples;
 }
 
 const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
@@ -155,7 +154,6 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
   // --- Policy.
   last_result_ = policy_->decide(views_, tables_, power_budget_w);
   ++cycles_run_;
-  samples_since_cycle_ = 0;
 
   // --- Actuate, then account for what was granted: record the promise the
   // policy's model makes for the next interval, and the operating point's
@@ -437,17 +435,15 @@ void SimCoreSampler::collect() {
     // read_counters() syncs the core first, so any grid instants crossed
     // since the last collect have already recorded their snapshots.
     const cpu::PerfCounters now = core.read_counters();
-    if (core.has_sampling_grid()) {
-      // Event-driven mode: replay the per-tick folds this wake-up skipped.
-      // Each snapshot is the exact counter value a tick-driven collect
-      // would have read at that instant, so folding them in order leaves
-      // aggregate_ bit-identical to the per-tick sum.
-      history_scratch_.clear();
-      core.drain_counter_history(history_scratch_);
-      for (const auto& snap : history_scratch_) {
-        aggregate_[i] += snap - last_snapshot_[i];
-        last_snapshot_[i] = snap;
-      }
+    // Replay the per-tick folds since the last collect (a core without a
+    // sampling grid records none).  Each snapshot is the exact counter
+    // value a collect at that tick would have read, so folding them in
+    // order leaves aggregate_ bit-identical to the per-tick sum.
+    history_scratch_.clear();
+    core.drain_counter_history(history_scratch_);
+    for (const auto& snap : history_scratch_) {
+      aggregate_[i] += snap - last_snapshot_[i];
+      last_snapshot_[i] = snap;
     }
     aggregate_[i] += now - last_snapshot_[i];
     last_snapshot_[i] = now;

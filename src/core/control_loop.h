@@ -44,16 +44,11 @@
 
 namespace fvsst::core {
 
-/// How a daemon advances simulated time between decisions.
+/// Inert: every daemon has one time-advance path (cores on the sampling
+/// grid, wakes only where the daemon has work).  The enum and the daemon
+/// configs' advance_mode fields remain only because the benchmark harness
+/// still sets them; nothing reads them.
 enum class AdvanceMode {
-  /// A periodic event every sampling interval t drives collect() —
-  /// simple, and required when tick-granular machinery (fault-plan
-  /// retries, failover clocks) must observe every tick.
-  kTick,
-  /// The daemon wakes only at scheduling instants T = n*t; cores
-  /// subdivide the skipped span internally (Core::set_sampling_grid), so
-  /// decisions, telemetry and journals stay byte-identical to kTick at a
-  /// fraction of the event count.
   kEvent,
 };
 
@@ -206,7 +201,8 @@ struct TraceNaming {
 
 /// Engine configuration.
 struct ControlLoopConfig {
-  /// Scheduling cycle every n collect() ticks (the paper's T = n * t).
+  /// The facade's scheduling period in ticks (the paper's T = n * t);
+  /// caps the actuation retry backoff near T/2.
   int schedule_every_n_samples = 10;
   /// Register and append the per-CPU trace series.
   bool record_traces = true;
@@ -261,13 +257,12 @@ class ControlLoop {
   void prime(double now, const std::vector<double>& hz,
              const std::vector<double>& watts);
 
-  /// One sampling tick.  Returns true when a scheduled cycle is now due
-  /// (i.e. n ticks have elapsed since the last cycle).  Due actuation
-  /// retries (rejected writes being retried with backoff) run here.
-  bool collect(double now);
+  /// One sampling tick: folds the counters and runs due actuation retries
+  /// (rejected writes being retried with backoff, counted in ticks).  The
+  /// facade decides which ticks are scheduling cycles.
+  void collect(double now);
 
   /// One full cycle: close interval -> estimate -> policy -> actuate.
-  /// Resets the tick count (a budget-triggered cycle restarts T).
   const ScheduleResult& run_cycle(double now, double power_budget_w,
                                   CycleTrigger trigger);
 
@@ -383,7 +378,6 @@ class ControlLoop {
   std::vector<ProcView> views_;
   std::vector<CpuState> states_;
   std::vector<char> prev_idle_;  ///< Journal-only idle-transition memory.
-  int samples_since_cycle_ = 0;
   std::size_t cycles_run_ = 0;
   ScheduleResult last_result_;
   /// loop/cycles, interned at the first cycle's publish (registration
@@ -432,8 +426,8 @@ class SimCoreSampler final : public Sampler {
   std::vector<cpu::PerfCounters> last_snapshot_;
   std::vector<cpu::PerfCounters> aggregate_;
   std::vector<double> aggregate_started_at_;
-  /// Reused buffer for draining grid-instant counter snapshots
-  /// (event-driven mode); avoids a per-collect allocation.
+  /// Reused buffer for draining grid-instant counter snapshots; avoids a
+  /// per-collect allocation.
   std::vector<cpu::PerfCounters> history_scratch_;
 };
 

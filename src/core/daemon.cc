@@ -90,72 +90,61 @@ FvsstDaemon::FvsstDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
       config_.journal->append(sim_.now(), sim::EventType::kBudgetChange)
           .set("budget_w", limit);
     }
-    if (event_driven_) {
-      // A budget trigger restarts T (t_restarts = 1): in tick mode the tick
-      // count resets and the next timer cycle lands n counted ticks later,
-      // where a tick at exactly now still counts (budget events carry
-      // setup-time sequence numbers, so they fire before the re-armed tick
-      // at a coincident instant).  Reproduce that arithmetic on the
-      // lattice: j0 = min{j : g_j >= now}, next cycle at index j0 + n - 1.
-      // Tick number m (1-based) fires at grid_origin_ + (m-1)*t; find the
-      // first tick at or after the trigger by lattice index i = m - 1.
-      const double tau = sim_.now();
-      const double t = config_.t_sample_s;
-      double est = std::ceil((tau - grid_origin_) / t);
-      if (!(est > 0.0)) est = 0.0;
-      std::uint64_t i = static_cast<std::uint64_t>(est);
-      while (grid_origin_ + static_cast<double>(i) * t < tau) ++i;
-      while (i > 0 && grid_origin_ + static_cast<double>(i - 1) * t >= tau) {
-        --i;
-      }
-      const std::uint64_t j = i + 1;  // First tick number at or after tau.
-      run_cycle(CycleTrigger::kBudget);
-      next_cycle_k_ =
-          j + static_cast<std::uint64_t>(config_.schedule_every_n_samples) - 1;
+    // A budget trigger restarts T (t_restarts = 1): the next timer cycle
+    // is the n-th tick from here, counting a tick at exactly now unless it
+    // ran first: its wake ran, or this event was armed after the tick
+    // before it (on a tie, scheduled after the daemon's first wake).
+    std::uint64_t j = first_tick_at_or_after(sim_.now());
+    const double before = tick_time(j - 1);
+    if (tick_time(j) == sim_.now() &&
+        (j == last_wake_k_ || sim_.armed_at() > before ||
+         (sim_.armed_at() == before && sim_.current_id() > timer_id_))) {
+      ++j;
+    }
+    run_cycle(CycleTrigger::kBudget);
+    next_cycle_k_ =
+        j + static_cast<std::uint64_t>(config_.schedule_every_n_samples) - 1;
+    const std::uint64_t k = next_wake(j - 1, next_cycle_k_);
+    if (k != wake_k_) {
       sim_.cancel(wake_event_);
-      schedule_wake();
-    } else {
-      run_cycle(CycleTrigger::kBudget);
+      arm_wake(k);
     }
   });
-  // Event-driven advance needs every tick-granular mechanism disabled:
-  // actuation retries count ticks, so a non-empty fault plan forces the
-  // tick fallback (behaviour, not just timing, would diverge otherwise).
-  event_driven_ = config_.advance_mode == AdvanceMode::kEvent &&
-                  !(config_.fault_plan && !config_.fault_plan->empty());
-  if (event_driven_) {
-    // The lattice a tick-driven daemon would sample on: schedule_every
-    // fires first at now + t, and re-arms firing m at that SAME origin
-    // plus (m-1)*t — so the first firing, not the schedule time, anchors
-    // every later instant's floating-point value.
-    grid_origin_ = sim_.now() + config_.t_sample_s;
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-      // The overhead a tick-driven daemon would have stolen at each tick:
-      // locally per CPU with per-CPU collector threads, else all charged
-      // to the CPU hosting the daemon process.
-      double steal = 0.0;
-      if (config_.per_cpu_threads) {
-        steal = config_.overhead_per_cpu_sample_s;
-      } else if (i == config_.daemon_cpu) {
-        steal = config_.overhead_per_cpu_sample_s *
-                static_cast<double>(procs_.size());
+  if (config_.fault_plan) {
+    for (const sim::FaultSpec& spec : config_.fault_plan->specs()) {
+      if (spec.kind == sim::FaultKind::kActuationReject &&
+          spec.target < static_cast<int>(procs_.size())) {
+        reject_windows_.emplace_back(spec.start_s, spec.end_s);
       }
-      cluster_.core(procs_[i]).set_sampling_grid(
-          grid_origin_, config_.t_sample_s, steal, /*record_history=*/true);
     }
-    next_cycle_k_ =
-        static_cast<std::uint64_t>(config_.schedule_every_n_samples);
-    schedule_wake();
-  } else {
-    tick_event_ =
-        sim_.schedule_every(config_.t_sample_s, [this] { on_sample_tick(); });
+    std::sort(reject_windows_.begin(), reject_windows_.end());
   }
+  // The lattice a per-tick timer would sample on: schedule_every fires
+  // first at now + t and re-arms firing m at that SAME origin plus
+  // (m-1)*t — so the first firing, not the schedule time, anchors every
+  // later instant's floating-point value.
+  start_t_ = sim_.now();
+  grid_origin_ = start_t_ + config_.t_sample_s;
+  for (std::size_t i = 0; i < procs_.size(); ++i) {
+    // The per-tick counter-reading overhead: locally per CPU with per-CPU
+    // collector threads (paper Sec. 9's improved design), else all charged
+    // to the CPU hosting the single-threaded daemon.
+    double steal = 0.0;
+    if (config_.per_cpu_threads) {
+      steal = config_.overhead_per_cpu_sample_s;
+    } else if (i == config_.daemon_cpu) {
+      steal = config_.overhead_per_cpu_sample_s *
+              static_cast<double>(procs_.size());
+    }
+    cluster_.core(procs_[i]).set_sampling_grid(
+        grid_origin_, config_.t_sample_s, steal, /*record_history=*/true);
+  }
+  next_cycle_k_ = static_cast<std::uint64_t>(config_.schedule_every_n_samples);
+  arm_wake(next_wake(0, next_cycle_k_));
+  timer_id_ = wake_event_;
 }
 
-FvsstDaemon::~FvsstDaemon() {
-  sim_.cancel(tick_event_);
-  sim_.cancel(wake_event_);
-}
+FvsstDaemon::~FvsstDaemon() { sim_.cancel(wake_event_); }
 
 const FrequencyScheduler& FvsstDaemon::scheduler() const {
   if (policy_ == nullptr) {
@@ -183,42 +172,73 @@ const sim::TimeSeries& FvsstDaemon::deviation_trace(std::size_t cpu) const {
   return loop_->trace(cpu, ControlLoop::Trace::kDeviation);
 }
 
-void FvsstDaemon::on_sample_tick() {
-  // Reading counters costs CPU time: either all on the single daemon
-  // thread's CPU, or locally on every CPU when per-CPU collector threads
-  // are used (paper Sec. 9's improved design).
-  if (config_.per_cpu_threads) {
-    for (const auto& addr : procs_) {
-      cluster_.core(addr).steal_time(config_.overhead_per_cpu_sample_s);
+double FvsstDaemon::tick_time(std::uint64_t m) const {
+  if (m == 0) return start_t_;
+  return grid_origin_ + static_cast<double>(m - 1) * config_.t_sample_s;
+}
+
+std::uint64_t FvsstDaemon::first_tick_at_or_after(double t) const {
+  // Estimate, then settle on the exact lattice expression.
+  const double est = std::ceil((t - grid_origin_) / config_.t_sample_s);
+  std::uint64_t m = est > 0.0 ? static_cast<std::uint64_t>(est) + 1 : 1;
+  while (tick_time(m) < t) ++m;
+  while (m > 1 && tick_time(m - 1) >= t) --m;
+  return m;
+}
+
+bool FvsstDaemon::must_step(std::uint64_t m) const {
+  if (loop_->retrying_cpu_count() > 0) return true;
+  const double from = tick_time(m);
+  const double to = tick_time(m + 1);
+  for (const auto& [start, end] : reject_windows_) {
+    if (start > to) break;
+    if (end > from) return true;
+  }
+  return false;
+}
+
+std::uint64_t FvsstDaemon::next_wake(std::uint64_t m,
+                                     std::uint64_t next_cycle) const {
+  if (must_step(m)) return m + 1;
+  // The first tick a window reaches must wake: a budget trigger inside the
+  // window may be refused and start a retry that tick counts.
+  const double to = tick_time(m + 1);
+  for (const auto& [start, end] : reject_windows_) {
+    if (start > to) {
+      return std::min(next_cycle, first_tick_at_or_after(start));
     }
-  } else {
-    cluster_.core(procs_[config_.daemon_cpu])
-        .steal_time(config_.overhead_per_cpu_sample_s *
-                    static_cast<double>(procs_.size()));
   }
-  if (loop_->collect(sim_.now())) {
-    run_cycle(CycleTrigger::kTimer);
-  }
+  return next_cycle;
 }
 
-void FvsstDaemon::schedule_wake() {
-  // Tick number next_cycle_k_ fires at origin + (k-1)*t: grid_origin_ is
-  // the first tick itself, matching sim::Simulation's re-arm expression.
-  wake_event_ = sim_.schedule_at(
-      grid_origin_ +
-          static_cast<double>(next_cycle_k_ - 1) * config_.t_sample_s,
-      [this] { on_event_wake(); });
+void FvsstDaemon::arm_wake(std::uint64_t m) {
+  // Ordered at its instant as the per-tick timer's firing m would be: as
+  // if armed at tick m - 1, so observers sampling on their own timers
+  // (power sensors, the margin controller) see the same before/after.
+  wake_k_ = m;
+  wake_event_ = sim_.schedule_at(tick_time(m), tick_time(m - 1),
+                                 [this] { on_wake(); });
 }
 
-void FvsstDaemon::on_event_wake() {
+void FvsstDaemon::on_wake() {
+  const std::uint64_t m = wake_k_;
+  last_wake_k_ = m;
+  const std::uint64_t n =
+      static_cast<std::uint64_t>(config_.schedule_every_n_samples);
+  const std::uint64_t next =
+      next_wake(m, m == next_cycle_k_ ? m + n : next_cycle_k_);
+  // The next tick's wake is armed before any work, as a periodic timer
+  // re-arms before its action: events the work schedules for that tick
+  // run after its wake, never before.
+  if (next == m + 1) arm_wake(next);
   // The per-tick steals were applied by the cores' sampling grids; collect
   // replays the skipped per-tick counter folds from the recorded history.
-  // Its due-cycle return is ignored: in event mode a wake *is* the cycle.
   loop_->collect(sim_.now());
-  run_cycle(CycleTrigger::kTimer);
-  next_cycle_k_ +=
-      static_cast<std::uint64_t>(config_.schedule_every_n_samples);
-  schedule_wake();
+  if (m == next_cycle_k_) {
+    run_cycle(CycleTrigger::kTimer);
+    next_cycle_k_ += n;
+  }
+  if (next != m + 1) arm_wake(next);
 }
 
 void FvsstDaemon::run_cycle(CycleTrigger trigger) {

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -71,18 +72,13 @@ struct DaemonConfig {
   /// to an f_min fail-safe.  Null or empty: no injection, bit-for-bit
   /// identical behaviour.
   const sim::FaultPlan* fault_plan = nullptr;
-  /// kEvent wakes the daemon only at scheduling instants T = n*t and lets
-  /// the cores subdivide the skipped span (Core::set_sampling_grid) —
-  /// byte-identical decisions and journals at ~1/n the event count.  The
-  /// daemon silently falls back to kTick when a non-empty fault plan is
-  /// installed: actuation retries are tick-counted and must see every tick.
-  AdvanceMode advance_mode = AdvanceMode::kTick;
+  /// Inert (see AdvanceMode); nothing reads it.
+  AdvanceMode advance_mode = AdvanceMode::kEvent;
   /// Online monitor (not owned; must outlive the daemon).  The daemon
   /// feeds `over_budget_w` (measured power above the effective limit) and
   /// `journal_dropped` at the end of every cycle and evaluates the rule
-  /// set there — a scheduling instant shared by both advance modes, so
-  /// monitored journals stay byte-identical across kTick and kEvent.
-  /// Observation only: null leaves the run bit-for-bit unchanged.
+  /// set there.  Observation only: null leaves the run bit-for-bit
+  /// unchanged.
   sim::monitor::Monitor* monitor = nullptr;
   /// Replaces the default SchedulerPolicyStage when set: the daemon calls
   /// the factory with its table, latencies and scheduler options and runs
@@ -92,6 +88,12 @@ struct DaemonConfig {
 };
 
 /// The frequency/voltage scheduling daemon.
+///
+/// Time advance: every core carries the sampling lattice
+/// (Core::set_sampling_grid), which charges the per-tick collection cost,
+/// so the daemon wakes only at the cycle ticks T = n*t — and every tick
+/// while an actuation_reject window or a retry (whose backoff counts
+/// ticks) needs it.
 class FvsstDaemon {
  public:
   /// Starts sampling immediately.  The daemon registers itself on
@@ -155,16 +157,23 @@ class FvsstDaemon {
   sim::MetricRegistry& telemetry() { return telemetry_; }
   const sim::MetricRegistry& telemetry() const { return telemetry_; }
 
-  /// True when running event-driven (advance_mode == kEvent and no fault
-  /// plan forced the tick fallback).
-  bool event_driven() const { return event_driven_; }
-
  private:
-  void on_sample_tick();
-  void on_event_wake();
+  void on_wake();
   void run_cycle(CycleTrigger trigger);
-  /// Schedules the next event-mode wake at lattice index next_cycle_k_.
-  void schedule_wake();
+  /// Simulated time of tick number m (1-based; 0: the construction
+  /// instant).
+  double tick_time(std::uint64_t m) const;
+  /// Smallest tick number whose instant is at or after `t`.
+  std::uint64_t first_tick_at_or_after(double t) const;
+  /// True when tick m + 1 needs a wake whatever the cycle schedule: a
+  /// retry is in flight, or a reject window touches [tick m, tick m + 1]
+  /// (a write there may be refused and start a tick-counted retry).
+  bool must_step(std::uint64_t m) const;
+  /// The tick to wake at once every tick up to m has passed: m + 1 when
+  /// must_step, else `next_cycle` or the first tick the next reject window
+  /// reaches, whichever comes first.
+  std::uint64_t next_wake(std::uint64_t m, std::uint64_t next_cycle) const;
+  void arm_wake(std::uint64_t m);
 
   sim::Simulation& sim_;
   cluster::Cluster& cluster_;
@@ -177,16 +186,22 @@ class FvsstDaemon {
   std::vector<const mach::FrequencyTable*> proc_tables_;
   SchedulerPolicyStage* policy_ = nullptr;  ///< Owned by loop_.
   std::unique_ptr<ControlLoop> loop_;
-  sim::EventId tick_event_ = 0;
-  // Event-driven mode: grid_origin_ is the FIRST tick instant (ctor time
-  // + t), and tick number m fires at grid_origin_ + (m-1) * t_sample_s in
-  // that exact floating-point form (the expression the event queue uses to
-  // re-arm periodic timers), so wakes compare equal to the ticks they
-  // replace.
-  bool event_driven_ = false;
+  // grid_origin_ is the FIRST tick instant (ctor time + t), and tick
+  // number m fires at grid_origin_ + (m-1) * t_sample_s in that exact
+  // floating-point form (the expression the event queue uses to re-arm
+  // periodic timers), so wakes land on the cores' lattice instants.
+  double start_t_ = 0.0;
   double grid_origin_ = 0.0;
-  std::uint64_t next_cycle_k_ = 0;  ///< Tick number (1-based) of next cycle.
+  std::uint64_t next_cycle_k_ = 0;  ///< Tick number of the next timer cycle.
+  std::uint64_t wake_k_ = 0;        ///< Tick number the armed wake fires at.
+  std::uint64_t last_wake_k_ = 0;   ///< Tick number of the last wake run.
   sim::EventId wake_event_ = 0;
+  /// The first wake's id: where a per-tick timer would sit in the
+  /// scheduling order of events built around the daemon.
+  sim::EventId timer_id_ = 0;
+  /// The plan's actuation_reject windows [start, end) that can hit this
+  /// daemon's CPUs, by start time.
+  std::vector<std::pair<double, double>> reject_windows_;
   // Monitor input channels (interned once in the ctor; unused when the
   // config carries no monitor).
   sim::monitor::InputId mon_over_budget_;

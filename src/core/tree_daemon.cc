@@ -218,37 +218,30 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     }
   });
 
-  event_driven_ = config_.advance_mode == AdvanceMode::kEvent;
+  // The cores sample on the tick lattice (Core::set_sampling_grid), so the
+  // daemon wakes only at summary instants and the leaves' samplers replay
+  // the skipped ticks' counter folds.  Summary instants use the grid's own
+  // arithmetic (origin + j*t, integer j) so they land on lattice points.
   const double t = config_.t_sample_s;
   grid_origin_ = start_t_ + t;
-  if (event_driven_) {
-    for (cluster::Shard& shard : shards_) {
-      for (std::size_t i = 0; i < shard.core_count(); ++i) {
-        shard.core(i).set_sampling_grid(grid_origin_, t, 0.0,
-                                        /*record_history=*/true);
-      }
+  for (cluster::Shard& shard : shards_) {
+    for (std::size_t i = 0; i < shard.core_count(); ++i) {
+      shard.core(i).set_sampling_grid(grid_origin_, t, 0.0,
+                                      /*record_history=*/true);
     }
-  } else {
-    tick_event_ = sim_.schedule_every(t, [this] { on_tick(); });
   }
-  // Both modes place the summary instant on the tick lattice with the same
-  // arithmetic as Core's sampling grid (origin + j*t, integer j) — the
-  // flat daemon's idiom.  Repeated-addition re-arm (schedule_every) would
-  // drift by an ulp from the grid after a few rounds, and the round
-  // timestamps would then differ between tick and event journals.
   next_summary_k_ = static_cast<std::uint64_t>(config_.schedule_every_n_samples);
-  schedule_summary_wake();
+  arm_summary_wake();
 }
 
-void TreeDaemon::schedule_summary_wake() {
+void TreeDaemon::arm_summary_wake() {
   summary_wake_event_ = sim_.schedule_at(
       grid_origin_ +
           static_cast<double>(next_summary_k_ - 1) * config_.t_sample_s,
-      [this] { on_summary_wake(); });
+      [this] { summary_wake(); });
 }
 
 TreeDaemon::~TreeDaemon() {
-  if (tick_event_) sim_.cancel(tick_event_);
   if (summary_wake_event_) sim_.cancel(summary_wake_event_);
 }
 
@@ -268,32 +261,19 @@ std::uint64_t TreeDaemon::cores_advanced() const {
 // Time advance
 // --------------------------------------------------------------------------
 
-void TreeDaemon::presync_shards(double now) {
-  // Batched SoA sweep, one contiguous slab per pool task.  Unlike the flat
-  // daemon, crashed nodes keep advancing: a node crash downs the *agent*
-  // (no summaries, no applies), not the machine — and the unconditional
-  // sweep is what keeps tick and event advance bit-identical under faults.
+void TreeDaemon::summary_wake() {
+  const double now = sim_.now();
+  // Batched SoA sweep, one contiguous slab per pool task; the grids
+  // subdivide it at the skipped ticks.  Unlike the flat daemon, crashed
+  // nodes keep advancing: a node crash downs the *agent* (no summaries, no
+  // applies), not the machine, so the sweep is unconditional.
   step_pool_->run(shards_.size(),
                   [this, now](std::size_t s) { shards_[s].advance_to(now); });
-}
-
-void TreeDaemon::on_tick() {
-  // Tick mode: per-t collection only.  The summary instant runs on its own
-  // lattice event (schedule_summary_wake) in both modes; a tick coinciding
-  // with it contributes a zero-length slice whichever runs first.
-  const double now = sim_.now();
-  presync_shards(now);
-  for (Leaf& leaf : leaves_) leaf.sampler->collect();
-}
-
-void TreeDaemon::on_summary_wake() {
-  const double now = sim_.now();
-  presync_shards(now);  // event mode: grid subdivision replays skipped ticks
   for (Leaf& leaf : leaves_) leaf.sampler->collect();
   summary_instant(now);
   next_summary_k_ +=
       static_cast<std::uint64_t>(config_.schedule_every_n_samples);
-  schedule_summary_wake();
+  arm_summary_wake();
 }
 
 // --------------------------------------------------------------------------

@@ -29,8 +29,8 @@
 //
 // Determinism: tree rounds use fixed link latency (no jitter), integer
 // summary aggregation and the closed-form cap profile, so the journal is
-// bit-identical across shard counts, thread counts and advance modes —
-// see summary_tree.h for why.  Per-shard journal detail (which *does*
+// bit-identical across shard counts and thread counts — see
+// summary_tree.h for why.  Per-shard journal detail (which *does*
 // depend on the shard count) is emitted only when
 // TreeDaemonConfig::journal_topology is set, the same opt-in pattern the
 // flat daemon uses for transport-level events.
@@ -70,7 +70,8 @@ struct TreeDaemonConfig {
   /// downward hops).  Fixed — no jitter — so round timing cannot depend
   /// on the shard count (the tree determinism guarantee).
   double link_latency_s = 100e-6;
-  AdvanceMode advance_mode = AdvanceMode::kTick;
+  /// Inert (see AdvanceMode); nothing reads it.
+  AdvanceMode advance_mode = AdvanceMode::kEvent;
   /// Worker threads for the batched shard pre-sync (1 = serial).
   int step_threads = 1;
   IdleSignal idle_signal = IdleSignal::kOsSignal;
@@ -161,10 +162,8 @@ class TreeDaemon {
   };
 
   // --- Round pipeline (times relative to the summary instant t_k) ------
-  void on_tick();                    // tick mode: per-t collect
-  void schedule_summary_wake();      // next summary on the tick lattice
-  void on_summary_wake();            // the summary instant (both modes)
-  void presync_shards(double now);
+  void arm_summary_wake();           // next summary on the tick lattice
+  void summary_wake();               // the summary instant
   void summary_instant(double now);  // t_k: close intervals, send up
   void leaf_close_interval(Leaf& leaf, double now);
   void agg_flush(std::size_t agg);   // t_k + L: merge, forward up
@@ -226,13 +225,11 @@ class TreeDaemon {
   std::size_t total_cpus_ = 0;
   double start_t_ = 0.0;
 
-  bool event_driven_ = false;
   /// Tick-lattice origin (start + t); summary wakes fire at
-  /// grid_origin_ + (next_summary_k_ - 1) * t in both advance modes, the
-  /// exact arithmetic of Core's sampling grid.
+  /// grid_origin_ + (next_summary_k_ - 1) * t, the exact arithmetic of
+  /// Core's sampling grid.
   double grid_origin_ = 0.0;
   std::uint64_t next_summary_k_ = 0;
-  sim::EventId tick_event_ = 0;
   sim::EventId summary_wake_event_ = 0;
 
   std::uint64_t round_seq_ = 0;        ///< Summary instants so far.

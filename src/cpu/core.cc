@@ -100,7 +100,7 @@ void Core::sync() { advance_to(sim_.now()); }
 
 void Core::advance_to(double t) {
   if (t < synced_until_) return;
-  if (grid_period_ > 0.0) {
+  if (grid_period_ > 0.0 && !grid_suspended_) {
     // Subdivide at the sampling lattice: every instant in (synced_until, t]
     // ends its own advance segment, so chunk boundaries (and with them the
     // per-chunk noise draws) land exactly where a per-tick driver would
@@ -131,7 +131,7 @@ void Core::advance_to(double t) {
 
 double Core::next_interesting_time() const {
   double limit = std::numeric_limits<double>::infinity();
-  if (grid_period_ > 0.0) {
+  if (grid_period_ > 0.0 && !grid_suspended_) {
     limit = std::min(limit, grid_origin_ + static_cast<double>(grid_next_k_) *
                                                grid_period_);
   }
@@ -177,7 +177,14 @@ void Core::set_sampling_grid(double origin, double period,
   grid_period_ = period;
   grid_steal_s_ = recurring_steal_s;
   grid_history_ = record_history;
-  grid_next_k_ = 0;
+}
+
+void Core::resume_sampling_grid(double t) {
+  if (!grid_suspended_) return;
+  grid_suspended_ = false;
+  while (grid_origin_ + static_cast<double>(grid_next_k_) * grid_period_ < t) {
+    ++grid_next_k_;
+  }
 }
 
 void Core::drain_counter_history(std::vector<PerfCounters>& out) {

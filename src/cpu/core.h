@@ -23,8 +23,9 @@
 // daemon samples the core on a fixed lattice, set_sampling_grid() makes a
 // single large advance_to() internally subdivide at the lattice instants —
 // reproducing the exact chunk boundaries, noise draws, overhead steals and
-// counter snapshots a per-tick driver would have produced — so an
-// event-driven run is bit-for-bit identical to a tick-driven one.
+// counter snapshots a per-tick driver would have produced — so a daemon
+// that wakes only when it has work is bit-for-bit identical to one that
+// reads every core at every tick.
 #pragma once
 
 #include <cstddef>
@@ -131,7 +132,7 @@ class Core {
   /// Advances the execution model to the current simulation time.
   void sync();
 
-  // --- Event-driven advance ---------------------------------------------
+  // --- Skip-ahead advance -----------------------------------------------
 
   /// Advances the model to absolute time `t` (clamped to never move
   /// backwards).  With a sampling grid registered the span is subdivided at
@@ -157,11 +158,21 @@ class Core {
   /// At each instant crossed by an advance the core adds
   /// `recurring_steal_s` of overhead and, when `record_history`, snapshots
   /// its counters for later replay by the sampler.  One consumer only:
-  /// re-registering with a different lattice throws.
+  /// re-registering with a different lattice throws; re-registering the
+  /// same lattice changes only the steal and history settings (the
+  /// instants already crossed stay crossed).
   void set_sampling_grid(double origin, double period,
                          double recurring_steal_s, bool record_history);
 
-  bool has_sampling_grid() const { return grid_period_ > 0.0; }
+  /// Stops grid subdivision, steals and snapshots at the instants not yet
+  /// crossed: until resume_sampling_grid(), advances run in one piece, as
+  /// they do for a core nobody samples (a crashed node's).
+  void suspend_sampling_grid() { grid_suspended_ = true; }
+
+  /// Ends a suspension: the first lattice instant at or after `t` is the
+  /// next one an advance crosses; the instants skipped while suspended are
+  /// never processed.  No-op unless suspended.
+  void resume_sampling_grid(double t);
 
   /// Moves the per-grid-instant counter snapshots accumulated since the
   /// last drain into `out` (appended in time order).
@@ -218,11 +229,12 @@ class Core {
   double stolen_pending_s_ = 0.0;
   PerfCounters counters_;
 
-  // Sampling lattice (event-driven mode); period 0 = none registered.
+  // Sampling lattice; period 0 = none registered.
   double grid_origin_ = 0.0;
   double grid_period_ = 0.0;
   double grid_steal_s_ = 0.0;
   bool grid_history_ = false;
+  bool grid_suspended_ = false;
   std::uint64_t grid_next_k_ = 0;  ///< Next unprocessed lattice index.
   std::vector<PerfCounters> history_;
   std::uint64_t advance_calls_ = 0;

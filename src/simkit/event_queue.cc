@@ -7,10 +7,12 @@
 
 namespace fvsst::sim {
 
-EventId Simulation::push(double when, double period, Action action) {
+EventId Simulation::push(double when, double period, double armed,
+                         Action action) {
   // A NaN/inf timestamp would silently corrupt the priority-queue ordering
   // (every comparison with NaN is false); fail loudly instead.
-  if (!std::isfinite(when) || !std::isfinite(period)) {
+  if (!std::isfinite(when) || !std::isfinite(period) ||
+      !std::isfinite(armed)) {
     throw std::invalid_argument("Simulation: non-finite event time");
   }
   if (period < 0.0) {
@@ -18,6 +20,7 @@ EventId Simulation::push(double when, double period, Action action) {
   }
   Event ev;
   ev.when = std::max(when, now_);
+  ev.armed = armed;
   ev.seq = next_seq_++;
   ev.id = next_id_++;
   ev.period = period;
@@ -31,18 +34,22 @@ EventId Simulation::push(double when, double period, Action action) {
 }
 
 EventId Simulation::schedule_at(double when, Action action) {
-  return push(when, 0.0, std::move(action));
+  return push(when, 0.0, now_, std::move(action));
+}
+
+EventId Simulation::schedule_at(double when, double as_of, Action action) {
+  return push(when, 0.0, as_of, std::move(action));
 }
 
 EventId Simulation::schedule_after(double delay, Action action) {
-  return push(now_ + delay, 0.0, std::move(action));
+  return push(now_ + delay, 0.0, now_, std::move(action));
 }
 
 EventId Simulation::schedule_every(double period, Action action) {
   if (!(period > 0.0)) {
     throw std::invalid_argument("Simulation: period must be positive");
   }
-  return push(now_ + period, period, std::move(action));
+  return push(now_ + period, period, now_, std::move(action));
 }
 
 EventId Simulation::schedule_every_from(double start, double period,
@@ -50,7 +57,7 @@ EventId Simulation::schedule_every_from(double start, double period,
   if (!(period > 0.0)) {
     throw std::invalid_argument("Simulation: period must be positive");
   }
-  return push(start, period, std::move(action));
+  return push(start, period, now_, std::move(action));
 }
 
 bool Simulation::cancel(EventId id) {
@@ -75,6 +82,8 @@ bool Simulation::step() {
       continue;
     }
     now_ = ev.when;
+    armed_at_ = ev.armed;
+    current_id_ = ev.id;
     if (ev.period > 0.0) {
       // Re-arm before running so the action may cancel its own event id.
       // The k-th firing lands at origin + k*period exactly.
@@ -82,6 +91,7 @@ bool Simulation::step() {
       next.fires = ev.fires + 1;
       // Firing k lands at origin + k*period (origin is the first firing).
       next.when = ev.origin + static_cast<double>(next.fires) * ev.period;
+      next.armed = now_;
       next.seq = next_seq_++;
       queue_.push(next);
       ++live_;

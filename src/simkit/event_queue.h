@@ -39,6 +39,12 @@ class Simulation {
   /// Times in the past are clamped to `now()`.
   EventId schedule_at(double when, Action action);
 
+  /// Schedules `action` at `when`, ordered among the events due then as if
+  /// scheduled at simulated time `as_of` (ties at `as_of` keep scheduling
+  /// order).  A periodic timer's firing is ordered by the instant of the
+  /// one before it, so a caller skipping a timer's firings passes that.
+  EventId schedule_at(double when, double as_of, Action action);
+
   /// Schedules `action` after `delay` seconds.
   EventId schedule_after(double delay, Action action);
 
@@ -65,13 +71,22 @@ class Simulation {
   /// Number of events executed since construction.
   std::uint64_t events_executed() const { return executed_; }
 
+  /// The executing event: its id (a periodic event keeps one across
+  /// firings) and the simulated time it was scheduled at, as its
+  /// same-instant order sees it (the as_of of schedule_at(when, as_of, …)).
+  EventId current_id() const { return current_id_; }
+  double armed_at() const { return armed_at_; }
+
   /// Number of events currently pending.
   std::size_t pending() const;
 
  private:
   struct Event {
     double when = 0.0;
-    std::uint64_t seq = 0;  // tie-breaker: FIFO among equal timestamps
+    // Tie-breakers among equal timestamps: the simulated time the event
+    // was scheduled at, then FIFO.
+    double armed = 0.0;
+    std::uint64_t seq = 0;
     EventId id = 0;
     double period = 0.0;  // > 0 for repeating events
     // Repeating events fire at origin + k*period (computed, not
@@ -84,15 +99,18 @@ class Simulation {
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) return a.when > b.when;
+      if (a.armed != b.armed) return a.armed > b.armed;
       return a.seq > b.seq;
     }
   };
 
-  EventId push(double when, double period, Action action);
+  EventId push(double when, double period, double armed, Action action);
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<EventId> cancelled_;  // ids cancelled but still in queue_
   double now_ = 0.0;
+  double armed_at_ = 0.0;
+  EventId current_id_ = 0;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;

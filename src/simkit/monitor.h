@@ -10,8 +10,7 @@
 //     rate / mean / min / max in O(buckets), no allocation after
 //     construction.
 //   * Ewma — exponential moving average with a time constant, so irregular
-//     observation spacing (event-driven advance) decays identically to
-//     tick-driven runs.
+//     observation spacing decays identically to a regular one.
 //   * P2Quantile — the P-squared streaming quantile estimator (Jain &
 //     Chlamtac): five markers, deterministic, zero allocation, exact until
 //     five observations have arrived.
@@ -27,10 +26,9 @@
 // Determinism is the contract: the monitor is purely observational (it
 // never feeds back into scheduling), its inputs are simulation-derived
 // values fed on the single-threaded commit path, and evaluation happens at
-// the scheduling instants both advance modes share — so journals with
-// monitoring enabled are byte-identical across --threads 1..N and across
-// --advance-mode tick|event, and runs without a monitor are bit-for-bit
-// what they were before this subsystem existed.
+// the daemons' scheduling instants — so journals with monitoring enabled
+// are byte-identical across --threads 1..N, and runs without a monitor are
+// bit-for-bit what they were before this subsystem existed.
 #pragma once
 
 #include <cstddef>
@@ -94,7 +92,7 @@ class SlidingWindow {
 /// Exponential moving average with a time constant: each observation pulls
 /// the average toward the sample by 1 - exp(-dt / tau), so the decay per
 /// simulated second is the same whether observations arrive every tick or
-/// only at event-mode scheduling instants.
+/// only at scheduling instants.
 class Ewma {
  public:
   explicit Ewma(double tau_s) : tau_s_(tau_s) {}
@@ -223,7 +221,7 @@ struct AlertState {
 
 /// The monitor: owns the rules' aggregator state, the input channels and
 /// the per-input quantile sketches, and evaluates everything at the
-/// sampling instants the daemons share between advance modes.
+/// daemons' scheduling instants.
 ///
 /// Usage: intern the inputs once (`input("over_budget_w")`), push
 /// observations with observe() from the simulation's serial commit path,

@@ -141,7 +141,7 @@ TEST(IpcEstimator, InvalidIntervalKeepsLastEstimateUnlessReset) {
 
 /// Journal and telemetry bytes of one SMP daemon run with an off-lattice
 /// budget drop (a budget-triggered cycle that restarts T).
-std::string smp_run_bytes(AdvanceMode mode) {
+std::string smp_run_bytes() {
   Rig rig;
   rig.cluster.core({0, 1}).add_workload(
       workload::make_uniform_synthetic(50.0, 1e12));
@@ -149,7 +149,6 @@ std::string smp_run_bytes(AdvanceMode mode) {
   sim::EventLog journal;
   DaemonConfig cfg;
   cfg.journal = &journal;
-  cfg.advance_mode = mode;
   FvsstDaemon daemon(rig.sim, rig.cluster, rig.machine.freq_table, rig.budget,
                      cfg);
   rig.sim.run_for(1.001);
@@ -159,12 +158,10 @@ std::string smp_run_bytes(AdvanceMode mode) {
   return run_bytes(journal, &daemon.telemetry());
 }
 
-TEST(ControlLoopTelemetry, ByteStableAcrossRunsAndAdvanceModes) {
+TEST(ControlLoopTelemetry, ByteStableAcrossRuns) {
   // Everything the engine records is simulated, so the same inputs give
-  // the same bytes on every run and in either advance mode.
-  const std::string tick = smp_run_bytes(AdvanceMode::kTick);
-  EXPECT_EQ(tick, smp_run_bytes(AdvanceMode::kTick));
-  EXPECT_EQ(tick, smp_run_bytes(AdvanceMode::kEvent));
+  // the same bytes on every run.
+  EXPECT_EQ(smp_run_bytes(), smp_run_bytes());
 }
 
 TEST(ControlLoopTelemetry, SteadyStateLoopDoesNoRegistryLookups) {

@@ -40,6 +40,21 @@ TEST(Simulation, EqualTimesRunFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(Simulation, EqualTimesRunInScheduledAtOrder) {
+  // Among events due at one instant, an as_of time orders an event as if
+  // scheduled then — in the past or the future of the scheduling call.
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] { order.push_back(0); });
+  sim.schedule_at(0.5, [&] {
+    sim.schedule_at(1.0, 0.9, [&] { order.push_back(3); });
+    sim.schedule_at(1.0, [&] { order.push_back(2); });
+    sim.schedule_at(1.0, 0.2, [&] { order.push_back(1); });
+  });
+  sim.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 TEST(Simulation, NowAdvancesToEventTime) {
   Simulation sim;
   double seen = -1.0;

@@ -109,7 +109,7 @@ TEST(Ewma, ConvergesToConstantInput) {
 TEST(Ewma, DecayDependsOnElapsedTimeNotSampleCount) {
   // One observation after 1 s must decay exactly as much as many
   // observations of the same value spread over that second: the property
-  // that makes tick-driven and event-driven runs agree.
+  // that makes sparse and dense observation agree.
   Ewma sparse(0.5), dense(0.5);
   sparse.observe(0.0, 10.0);
   dense.observe(0.0, 10.0);

@@ -534,8 +534,7 @@ sim::FaultPlan adversarial_plan() {
 
 void run_daemon(cluster::TransportMode mode, const sim::FaultPlan* plan,
                 sim::EventLog* journal, core::ClusterDaemon** out_daemon,
-                int step_threads = 1,
-                core::AdvanceMode advance = core::AdvanceMode::kTick) {
+                int step_threads = 1) {
   sim::Simulation sim;
   sim::Rng rng(31);
   const mach::MachineConfig machine = mach::p630();
@@ -551,7 +550,6 @@ void run_daemon(cluster::TransportMode mode, const sim::FaultPlan* plan,
   config.fault_plan = plan;
   config.transport = mode;
   config.step_threads = step_threads;
-  config.advance_mode = advance;
   core::ClusterDaemon daemon(sim, cluster, machine.freq_table, budget,
                              config);
   sim.schedule_at(0.5, [&] { budget.set_limit_w(2 * 4 * 140.0 * 0.5); });
@@ -613,16 +611,11 @@ TEST(TransportDaemon, ReliableUnderFaultsIsBitDeterministic) {
   run_daemon(cluster::TransportMode::kReliable, &plan, &b, nullptr);
   EXPECT_EQ(run_bytes(a), run_bytes(b));
 
-  // Neither the parallel node stepper nor event-driven time advance may
-  // perturb the retransmit schedule.
+  // The parallel node stepper must not perturb the retransmit schedule.
   sim::EventLog threaded;
   run_daemon(cluster::TransportMode::kReliable, &plan, &threaded, nullptr,
              /*step_threads=*/4);
   EXPECT_EQ(run_bytes(a), run_bytes(threaded));
-  sim::EventLog event_mode;
-  run_daemon(cluster::TransportMode::kReliable, &plan, &event_mode, nullptr,
-             /*step_threads=*/1, core::AdvanceMode::kEvent);
-  EXPECT_EQ(run_bytes(a), run_bytes(event_mode));
 }
 
 TEST(TransportDaemon, CleanChannelReliableCostsNothing) {

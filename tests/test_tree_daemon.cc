@@ -1,5 +1,5 @@
 // test_tree_daemon - The hierarchical coordinator tree: the headline
-// guarantee that shard count, thread count and advance mode are invisible
+// guarantee that shard count and thread count are invisible
 // (bit-identical journals and final core state), under clean runs and
 // under chaos; plus failover, fail-safe and validation behavior.
 #include "core/tree_daemon.h"
@@ -32,7 +32,6 @@ struct Scenario {
 struct RunShape {
   std::size_t shards;
   int threads;
-  core::AdvanceMode mode;
 };
 
 struct RunResult {
@@ -68,7 +67,6 @@ RunResult run_tree(const Scenario& sc, const RunShape& shape,
   core::TreeDaemonConfig cfg;
   cfg.shards = shape.shards;
   cfg.step_threads = shape.threads;
-  cfg.advance_mode = shape.mode;
   cfg.journal = &journal;
   if (!plan.empty()) cfg.fault_plan = &plan;
   cfg.standby_root = sc.standby;
@@ -100,33 +98,24 @@ RunResult run_tree(const Scenario& sc, const RunShape& shape,
   return out;
 }
 
-// --- Shard/thread/mode invariance -----------------------------------------
+// --- Shard/thread invariance ----------------------------------------------
 
 /// Scenarios whose default journal is shard-invariant: faults (if any)
 /// target node indices or root coordinators 0/1, never a specific shard's
 /// leaf coordinator or a transport channel keyed by shard id.
 class TreeInvariance : public ::testing::TestWithParam<Scenario> {};
 
-TEST_P(TreeInvariance, ShardThreadAndModeAreInvisible) {
+TEST_P(TreeInvariance, ShardAndThreadAreInvisible) {
   const Scenario& sc = GetParam();
-  const RunResult ref =
-      run_tree(sc, {1, 1, core::AdvanceMode::kTick});
+  const RunResult ref = run_tree(sc, {1, 1});
   ASSERT_FALSE(ref.digest.empty());
   ASSERT_GT(ref.rounds, 0u);
-  const RunShape shapes[] = {
-      {1, 1, core::AdvanceMode::kEvent},
-      {4, 1, core::AdvanceMode::kTick},
-      {4, 4, core::AdvanceMode::kEvent},
-      {16, 8, core::AdvanceMode::kTick},
-      {16, 2, core::AdvanceMode::kEvent},
-  };
+  const RunShape shapes[] = {{4, 1}, {4, 4}, {16, 8}, {16, 2}};
   for (const RunShape& shape : shapes) {
     const RunResult got = run_tree(sc, shape);
     EXPECT_EQ(ref.digest, got.digest)
         << sc.name << ": shards=" << shape.shards
-        << " threads=" << shape.threads << " mode="
-        << (shape.mode == core::AdvanceMode::kEvent ? "event" : "tick")
-        << " changed the simulation";
+        << " threads=" << shape.threads << " changed the simulation";
   }
 }
 
@@ -157,21 +146,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Faults keyed by shard-dependent ids (leaf coordinators, per-child
 /// transport draws) change the default journal when the shard count
-/// changes — but threads and advance mode must stay invisible at any
-/// fixed shard count.
+/// changes — but threads must stay invisible at any fixed shard count.
 class TreeFixedShardChaos : public ::testing::TestWithParam<Scenario> {};
 
-TEST_P(TreeFixedShardChaos, ThreadAndModeAreInvisibleAtFixedShards) {
+TEST_P(TreeFixedShardChaos, ThreadsAreInvisibleAtFixedShards) {
   const Scenario& sc = GetParam();
-  const RunResult ref = run_tree(sc, {4, 1, core::AdvanceMode::kTick});
+  const RunResult ref = run_tree(sc, {4, 1});
   ASSERT_GT(ref.rounds, 0u);
-  for (const RunShape& shape :
-       {RunShape{4, 2, core::AdvanceMode::kEvent},
-        RunShape{4, 8, core::AdvanceMode::kTick}}) {
+  for (const RunShape& shape : {RunShape{4, 2}, RunShape{4, 8}}) {
     const RunResult got = run_tree(sc, shape);
     EXPECT_EQ(ref.digest, got.digest)
-        << sc.name << ": threads=" << shape.threads << " mode="
-        << (shape.mode == core::AdvanceMode::kEvent ? "event" : "tick");
+        << sc.name << ": threads=" << shape.threads;
   }
 }
 
@@ -205,7 +190,7 @@ TEST(TreeDaemon, StandbyTakesOverAfterRootCrash) {
   Scenario sc{"takeover"};
   sc.standby = true;
   sc.faults = {{sim::FaultKind::kCoordinatorCrash, 0.55, 2.6, 0, 0.0}};
-  const RunResult r = run_tree(sc, {4, 1, core::AdvanceMode::kTick});
+  const RunResult r = run_tree(sc, {4, 1});
   // The standby claimed a higher epoch and kept rounds flowing through
   // the outage (the crash window covers the rest of the run).
   EXPECT_GT(r.epoch, 1u);
@@ -216,7 +201,7 @@ TEST(TreeDaemon, ShardsDropToFailsafeWhenRootSilent) {
   Scenario sc{"failsafe"};
   sc.failsafe_factor = 2.0;
   sc.faults = {{sim::FaultKind::kCoordinatorCrash, 0.55, 2.6, 0, 0.0}};
-  const RunResult r = run_tree(sc, {4, 1, core::AdvanceMode::kTick});
+  const RunResult r = run_tree(sc, {4, 1});
   // No standby: every shard should be running its autonomous fail-safe
   // frequency at the end of the run.
   EXPECT_EQ(r.failsafe_shards, 4u);
@@ -226,7 +211,7 @@ TEST(TreeDaemon, RecoversFromFailsafeWhenRootReturns) {
   Scenario sc{"failsafe_recovery"};
   sc.failsafe_factor = 2.0;
   sc.faults = {{sim::FaultKind::kCoordinatorCrash, 0.55, 1.45, 0, 0.0}};
-  const RunResult r = run_tree(sc, {4, 1, core::AdvanceMode::kTick});
+  const RunResult r = run_tree(sc, {4, 1});
   EXPECT_EQ(r.failsafe_shards, 0u);
   EXPECT_GT(r.rounds, 10u);
 }
@@ -248,7 +233,7 @@ TEST(TreeDaemon, RejectsHeterogeneousClusters) {
 
 TEST(TreeDaemon, CapsClusterUnderBudgetWithinOneRound) {
   Scenario sc{"caps"};
-  const RunResult r = run_tree(sc, {4, 1, core::AdvanceMode::kTick});
+  const RunResult r = run_tree(sc, {4, 1});
   EXPECT_GT(r.rounds, 20u);
   EXPECT_EQ(r.epoch, 1u);
 

@@ -31,7 +31,7 @@
 //   --t MS               sampling period t in ms (default 10)
 //   --multiplier N       T = N * t (default 10)
 //   --cluster            use the distributed ClusterDaemon
-//   --threads N          advance node cores on N threads per tick; output
+//   --threads N          advance node cores on N threads; output
 //                        is byte-identical to --threads 1 (--cluster only)
 //   --topology T         flat (default): one coordinator over all nodes;
 //                        tree: the sharded three-tier coordinator tree
@@ -53,9 +53,6 @@
 //   --journal-format F   jsonl | binary — override the extension choice
 //   --chrome-trace FILE  write a Chrome trace-event JSON (Perfetto-loadable)
 //   --journal-cap N      ring-buffer the journal at N events (0: unbounded)
-//   --advance-mode M     event (default) skips stable phases analytically;
-//                        tick advances every core at every sampling instant.
-//                        Outputs are byte-identical either way.
 //   --explain            record pass-1/pass-2 rationale in the journal
 //   --fault-plan FILE    inject faults from a fault-plan file (see
 //                        sim::FaultPlan::parse for the line format)
@@ -160,7 +157,6 @@ struct CliOptions {
   std::string journal_format;     ///< "jsonl" | "binary" | "" (by extension).
   std::string chrome_trace_path;  ///< Chrome trace-event JSON.
   std::size_t journal_cap = 0;    ///< Ring-buffer capacity (0: unbounded).
-  core::AdvanceMode advance_mode = core::AdvanceMode::kEvent;
   bool explain = false;           ///< Record scheduler rationale.
   std::string fault_plan_path;    ///< Fault-injection plan file.
   bool standby = false;           ///< Run a standby coordinator (--cluster).
@@ -213,8 +209,8 @@ void print_help() {
       "                 [--governor G] [--policy P]\n"
       "                 [--margin-controller] [--seed S] [--csv DIR]\n"
       "                 [--journal FILE] [--journal-format jsonl|binary]\n"
-      "                 [--chrome-trace FILE] [--advance-mode tick|event]\n"
-      "                 [--journal-cap N] [--explain] [--fault-plan FILE]\n"
+      "                 [--chrome-trace FILE] [--journal-cap N]\n"
+      "                 [--explain] [--fault-plan FILE]\n"
       "                 [--standby] [--failsafe K] [--rules FILE|default]\n"
       "                 [--transport datagram|reliable]\n"
       "                 [--metrics-out FILE] [--metrics-every S]\n"
@@ -433,11 +429,6 @@ CliOptions parse_args(int argc, char** argv) {
         usage_error("--journal-format must be jsonl or binary, not '" +
                     opts.journal_format + "'");
       }
-    } else if (flag == "--advance-mode") {
-      const std::string v = next_value(i, "--advance-mode");
-      if (v == "tick") opts.advance_mode = core::AdvanceMode::kTick;
-      else if (v == "event") opts.advance_mode = core::AdvanceMode::kEvent;
-      else usage_error("unknown advance mode '" + v + "'");
     } else if (flag == "--chrome-trace") {
       opts.chrome_trace_path = next_value(i, "--chrome-trace");
     } else if (flag == "--journal-cap") {
@@ -722,7 +713,6 @@ int main(int argc, char** argv) {
   dcfg.scheduler.explain = opts.explain;
   dcfg.idle_signal = opts.idle_signal;
   dcfg.estimate_smoothing = opts.smoothing;
-  dcfg.advance_mode = opts.advance_mode;
   if (want_journal) dcfg.journal = &journal;
   if (have_faults) dcfg.fault_plan = &fault_plan;
   dcfg.monitor = monitor.get();
@@ -745,7 +735,6 @@ int main(int argc, char** argv) {
     tcfg.schedule_every_n_samples = dcfg.schedule_every_n_samples;
     tcfg.shards = opts.shards;
     tcfg.aggregates = opts.aggregates;
-    tcfg.advance_mode = opts.advance_mode;
     tcfg.step_threads = opts.step_threads;
     tcfg.idle_signal = opts.idle_signal;
     tcfg.scheduler = dcfg.scheduler;
@@ -764,7 +753,6 @@ int main(int argc, char** argv) {
     ccfg.schedule_every_n_samples = dcfg.schedule_every_n_samples;
     ccfg.scheduler = dcfg.scheduler;
     ccfg.idle_signal = opts.idle_signal;
-    ccfg.advance_mode = opts.advance_mode;
     if (want_journal) ccfg.journal = &journal;
     if (have_faults) ccfg.fault_plan = &fault_plan;
     ccfg.failover.standby = opts.standby;
