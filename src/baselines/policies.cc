@@ -17,13 +17,11 @@ std::vector<Assignment> MaxFrequencyPolicy::decide(
 std::vector<Assignment> UniformScalingPolicy::decide(
     const std::vector<ProcSample>& procs, const mach::FrequencyTable& table,
     double budget_w) const {
-  const double per_proc =
-      budget_w / static_cast<double>(std::max<std::size_t>(procs.size(), 1));
-  const auto point = table.highest_under_power(per_proc);
   // Even the lowest setting may not fit; uniform scaling has no further
   // recourse, so it runs at the floor and overshoots the budget.
-  const double hz = point ? point->hz : table.min_hz();
-  return std::vector<Assignment>(procs.size(), Assignment{hz, true});
+  return std::vector<Assignment>(
+      procs.size(), Assignment{table.equal_share_hz(budget_w, procs.size()),
+                               true});
 }
 
 std::vector<Assignment> PowerDownPolicy::decide(
@@ -117,10 +115,7 @@ std::vector<Assignment> DemandBasedSwitchingPolicy::decide(
   }
   if (budget_capped_) {
     // Budget compliance bolted on: uniform per-processor cap.
-    const double per_proc =
-        budget_w / static_cast<double>(std::max<std::size_t>(procs.size(), 1));
-    const auto cap = table.highest_under_power(per_proc);
-    const double cap_hz = cap ? cap->hz : table.min_hz();
+    const double cap_hz = table.equal_share_hz(budget_w, procs.size());
     for (auto& a : out) a.hz = std::min(a.hz, cap_hz);
   }
   return out;

@@ -25,15 +25,6 @@ void Channel::set_loss_probability(double p) {
   loss_probability_ = p;
 }
 
-void Channel::set_drop_handler(std::function<void()> handler) {
-  drop_handler_ = std::move(handler);
-}
-
-bool Channel::send(const Envelope& envelope,
-                   std::function<void(const Envelope&)> handler) {
-  return send([envelope, h = std::move(handler)] { h(envelope); });
-}
-
 bool Channel::send(std::function<void()> handler) {
   return send_delayed(0.0, std::move(handler));
 }
@@ -44,11 +35,7 @@ bool Channel::send_delayed(double extra_delay_s,
     throw std::invalid_argument("Channel: negative extra delay");
   }
   if (loss_probability_ > 0.0 && rng_.bernoulli(loss_probability_)) {
-    // The drop is fully accounted (counter bumped, loss draw consumed)
-    // before the handler runs, so a handler that reenters send() sees a
-    // consistent channel and simply consumes the next RNG draws.
     ++dropped_;
-    if (drop_handler_) drop_handler_();
     return false;
   }
   const double delay = extra_delay_s + latency_s_ +

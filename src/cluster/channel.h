@@ -8,6 +8,8 @@
 // communication required".  Channel models that communication as a fixed
 // one-way latency plus optional jitter, so the response-time experiments
 // can measure time-to-compliance against the supply's cascade deadline.
+// The daemons never send on a Channel directly: cluster::Transport does,
+// and journals every message the channel drops.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,8 @@ namespace fvsst::cluster {
 /// message so receivers can fence off traffic from a deposed coordinator.
 using Epoch = std::uint64_t;
 
-/// Protocol metadata carried next to a message's closure payload: the
-/// sending coordinator's epoch and identity.
+/// Protocol metadata a cluster::Transport frame carries next to its
+/// closure payload: the sending coordinator's epoch and identity.
 struct Envelope {
   Epoch epoch = 0;
   int sender = -1;  ///< Coordinator index (0 = primary, 1 = standby).
@@ -40,8 +42,8 @@ class Channel {
   /// Delivers `handler` after the channel delay.  The payload is carried
   /// inside the closure; this keeps the channel type-agnostic.  Lost
   /// messages (see set_loss_probability) are dropped as on a real
-  /// unreliable datagram path; returns false for a drop so the sender can
-  /// account the loss instead of inferring it.
+  /// unreliable datagram path; returns false for a drop so the sender
+  /// (cluster::Transport) can account and journal the loss.
   bool send(std::function<void()> handler);
 
   /// As send(), with `extra_delay_s` (>= 0) added on top of the
@@ -50,13 +52,6 @@ class Channel {
   /// send(), so a zero extra delay is indistinguishable from it.
   bool send_delayed(double extra_delay_s, std::function<void()> handler);
 
-  /// Envelope-stamped variant: delivers `handler(envelope)` after the same
-  /// delay model.  Consumes exactly the randomness of the plain overload,
-  /// so wiring envelopes through an existing protocol does not perturb its
-  /// loss/jitter stream.
-  bool send(const Envelope& envelope,
-            std::function<void(const Envelope&)> handler);
-
   /// Fraction of messages dropped, in [0, 1).  The periodic scheduling
   /// rounds make the cluster protocol naturally loss-tolerant; tests and
   /// the robustness ablation exercise that.  Throws std::invalid_argument
@@ -64,19 +59,6 @@ class Channel {
   /// range comparison and silently disable loss).
   void set_loss_probability(double p);
   double loss_probability() const { return loss_probability_; }
-
-  /// Invoked synchronously for every dropped message, before send()
-  /// returns false — the owner's hook for counting and journalling losses.
-  ///
-  /// Reentrancy contract: the handler runs *after* the drop has been fully
-  /// accounted (dropped() already includes it and the loss draw is
-  /// complete), so a handler that itself calls send() — e.g. to emit a
-  /// loss report — is safe: the nested send is an ordinary message that
-  /// draws the next values from the RNG stream and is counted like any
-  /// other, and no counter or RNG state is left half-updated.  A handler
-  /// whose nested send is itself dropped recurses; guard against unbounded
-  /// recursion in the handler, not here.
-  void set_drop_handler(std::function<void()> handler);
 
   double latency_s() const { return latency_s_; }
   double jitter_s() const { return jitter_s_; }
@@ -92,7 +74,6 @@ class Channel {
   double latency_s_;
   double jitter_s_;
   double loss_probability_ = 0.0;
-  std::function<void()> drop_handler_;
   sim::Rng rng_;
   std::size_t delivered_ = 0;
   std::size_t dropped_ = 0;

@@ -1,6 +1,8 @@
 #include "cluster/transport.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 namespace fvsst::cluster {
 namespace {
@@ -35,26 +37,24 @@ bool frame_corrupt(const Frame& frame) {
 Transport::Transport(sim::Simulation& sim, Channel& channel,
                      const sim::FaultPlan* faults,
                      const TransportOptions& options, std::size_t nodes,
-                     std::size_t coordinators, const char* direction)
+                     std::size_t coordinators, const char* direction,
+                     sim::EventLog* journal)
     : sim_(sim),
       channel_(channel),
       faults_(faults),
       opts_(options),
       direction_(direction),
+      journal_(journal),
       next_seq_(nodes, 0),
       pending_(nodes),
       node_rx_(nodes),
       coord_rx_(coordinators, std::vector<std::uint64_t>(nodes, 0)) {
   const double hop = channel_.latency_s() + channel_.jitter_s();
   if (opts_.round_period_s <= 0.0) opts_.round_period_s = 0.1;
-  if (opts_.reorder_delay_s <= 0.0) {
-    opts_.reorder_delay_s = opts_.round_period_s + 3.0 * channel_.latency_s();
-  }
-  if (opts_.duplicate_delay_s <= 0.0) {
-    opts_.duplicate_delay_s = std::max(channel_.latency_s(), 1e-6);
-  }
+  reorder_delay_s_ = opts_.round_period_s + 3.0 * channel_.latency_s();
+  duplicate_delay_s_ = std::max(channel_.latency_s(), 1e-6);
   if (opts_.rto_s <= 0.0) opts_.rto_s = opts_.round_period_s + 4.0 * hop;
-  if (opts_.min_ack_flight_s <= 0.0) opts_.min_ack_flight_s = 2.0 * hop;
+  min_ack_flight_s_ = 2.0 * hop;
   if (opts_.round_retransmit_budget <= 0) {
     opts_.round_retransmit_budget = std::max(4, 2 * static_cast<int>(nodes));
   }
@@ -81,9 +81,8 @@ bool Transport::send(int node, const Envelope& envelope, std::uint64_t ack,
     // be able to damage cluster-wide liveness signalling.
     Frame wire = frame;
     wire.checksum = frame_checksum(wire);
-    return channel_.send([deliver = std::move(deliver), wire] {
-      deliver(wire);
-    });
+    return put(node, 0.0,
+               [deliver = std::move(deliver), wire] { deliver(wire); });
   }
   if (reliable()) {
     frame.seq = ++next_seq_[static_cast<std::size_t>(node)];
@@ -112,14 +111,13 @@ bool Transport::transmit(int node, const Frame& frame,
   Frame wire = frame;
   wire.checksum = frame_checksum(wire);
   if (faults_ == nullptr) {
-    return channel_.send_delayed(0.0, [deliver, wire] { deliver(wire); });
+    return put(node, 0.0, [deliver, wire] { deliver(wire); });
   }
   const double now = sim_.now();
   using sim::FaultKind;
   if (const auto* loss = faults_->active(FaultKind::kChannelLoss, node, now)) {
     if (faults_->chance(FaultKind::kChannelLoss, node, now, loss->value)) {
-      ++fault_dropped_;
-      if (hooks_.on_fault_drop) hooks_.on_fault_drop(node);
+      lost(node, "fault");
       return false;
     }
   }
@@ -132,7 +130,7 @@ bool Transport::transmit(int node, const Frame& frame,
           faults_->active(FaultKind::kChannelReorder, node, now)) {
     if (faults_->chance(FaultKind::kChannelReorder, node, now,
                         reorder->value)) {
-      extra += opts_.reorder_delay_s;
+      extra += reorder_delay_s_;
     }
   }
   if (const auto* corrupt =
@@ -142,16 +140,43 @@ bool Transport::transmit(int node, const Frame& frame,
       wire.checksum ^= kCorruptMask;
     }
   }
-  const bool sent =
-      channel_.send_delayed(extra, [deliver, wire] { deliver(wire); });
+  const bool sent = put(node, extra, [deliver, wire] { deliver(wire); });
   if (const auto* dup =
           faults_->active(FaultKind::kChannelDuplicate, node, now)) {
     if (faults_->chance(FaultKind::kChannelDuplicate, node, now, dup->value)) {
-      channel_.send_delayed(extra + opts_.duplicate_delay_s,
-                            [deliver, wire] { deliver(wire); });
+      put(node, extra + duplicate_delay_s_,
+          [deliver, wire] { deliver(wire); });
     }
   }
   return sent;
+}
+
+bool Transport::put(int node, double extra_delay_s,
+                    std::function<void()> handler) {
+  if (channel_.send_delayed(extra_delay_s, std::move(handler))) return true;
+  lost(node, "channel");
+  return false;
+}
+
+void Transport::lost(int node, const char* cause) {
+  ++lost_;
+  if (journal_) {
+    journal_->append(sim_.now(), sim::EventType::kMessageLost)
+        .set("node", static_cast<double>(node))
+        .set("direction", std::string(direction_))
+        .set("cause", std::string(cause));
+  }
+}
+
+bool Transport::corrupt(int node, const Frame& frame) {
+  if (!frame_corrupt(frame)) return false;
+  ++corrupt_;
+  if (journal_) {
+    journal_->append(sim_.now(), sim::EventType::kMessageCorrupt)
+        .set("node", static_cast<double>(node))
+        .set("direction", std::string(direction_));
+  }
+  return true;
 }
 
 Transport::Verdict Transport::receive_at_node(int node, const Frame& frame) {
@@ -221,7 +246,7 @@ void Transport::on_ack(int node, Epoch epoch, std::uint64_t seq) {
   // frame (or a previous retry) was lost.  Fast retransmit beats waiting
   // out the timer — this is the primary loss-recovery path, since acks
   // arrive every summary round.
-  if (sim_.now() - p.sent_t >= opts_.min_ack_flight_s) maybe_retransmit(node);
+  if (sim_.now() - p.sent_t >= min_ack_flight_s_) maybe_retransmit(node);
 }
 
 void Transport::fence(Epoch epoch) {
@@ -251,7 +276,7 @@ void Transport::pump() {
 void Transport::maybe_retransmit(int node) {
   Pending& p = pending_[static_cast<std::size_t>(node)];
   if (!p.active) return;
-  if (p.attempts >= opts_.max_retransmits) {
+  if (p.attempts >= kMaxRetransmits) {
     expire(node, "retries");
     return;
   }
@@ -265,13 +290,19 @@ void Transport::maybe_retransmit(int node) {
   ++p.attempts;
   ++budget_used_;
   ++retransmits_;
-  if (hooks_.on_retransmit) hooks_.on_retransmit(node, p.seq, p.attempts);
+  if (journal_) {
+    journal_->append(sim_.now(), sim::EventType::kMessageRetransmit)
+        .set("node", static_cast<double>(node))
+        .set("seq", static_cast<double>(p.seq))
+        .set("attempt", static_cast<double>(p.attempts))
+        .set("direction", std::string(direction_));
+  }
   Frame frame;
   frame.envelope = p.envelope;
   frame.seq = p.seq;
   p.sent_t = sim_.now();
   double scale = 1.0;
-  for (int k = 0; k < p.attempts; ++k) scale *= opts_.backoff_base;
+  for (int k = 0; k < p.attempts; ++k) scale *= kBackoffBase;
   p.retry_t = sim_.now() + opts_.rto_s * scale;
   transmit(node, frame, p.deliver);
 }
@@ -280,7 +311,14 @@ void Transport::expire(int node, const char* cause) {
   Pending& p = pending_[static_cast<std::size_t>(node)];
   if (!p.active) return;
   ++expired_;
-  if (hooks_.on_expired) hooks_.on_expired(node, p.seq, p.attempts, cause);
+  if (journal_) {
+    journal_->append(sim_.now(), sim::EventType::kMessageExpired)
+        .set("node", static_cast<double>(node))
+        .set("seq", static_cast<double>(p.seq))
+        .set("attempts", static_cast<double>(p.attempts))
+        .set("cause", std::string(cause))
+        .set("direction", std::string(direction_));
+  }
   p.active = false;
   p.deliver = nullptr;
 }

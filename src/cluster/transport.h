@@ -25,6 +25,14 @@
 // channel_duplicate (a second, later copy).  Fault draws use the plan's
 // stateless hashing, so datagram mode with no transport faults is
 // bit-identical to a run without the shim.
+//
+// Transport is the one writer of the journal's message_lost,
+// message_retransmit, message_expired and message_corrupt events, for
+// both cluster daemons.  It journals its own shim and channel drops,
+// retransmissions and expiries where they happen; the daemons report
+// protocol losses (a crashed or partitioned receiver) through lost() and
+// run every received frame through corrupt().  Each event carries the
+// affected node and the transport's direction.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +40,7 @@
 #include <vector>
 
 #include "cluster/channel.h"
+#include "simkit/event_log.h"
 #include "simkit/event_queue.h"
 #include "simkit/fault_plan.h"
 
@@ -57,7 +66,7 @@ std::uint64_t frame_checksum(const Frame& frame);
 bool frame_corrupt(const Frame& frame);
 
 enum class TransportMode {
-  kDatagram,  ///< PR-8 semantics: fire-and-forget, loss is final.
+  kDatagram,  ///< Fire-and-forget: a lost message waits for the next round.
   kReliable,  ///< Sequenced, acked, retransmitted, epoch-fenced.
 };
 
@@ -69,30 +78,15 @@ struct TransportOptions {
   /// Scheduling round period T (seconds); the natural retransmit
   /// timescale, since acks ride on once-per-round summaries.
   double round_period_s = 0.1;
-  /// Extra delay applied to a reorder-faulted frame so it lands behind
-  /// later traffic.  Default: round_period_s + 3 * latency.
-  double reorder_delay_s = 0.0;
-  /// Extra delay of the second copy of a duplicate-faulted frame.
-  /// Default: one channel latency.
-  double duplicate_delay_s = 0.0;
   /// Fallback retransmit timeout.  Fast retransmit (a summary ack that
   /// fails to cover the pending seq) is the primary recovery path; the
   /// timer only catches the case where summaries themselves stop.
   /// Default: round_period_s + 4 * (latency + jitter).
   double rto_s = 0.0;
-  /// Backoff multiplier: retry k waits rto_s * backoff_base^k.
-  double backoff_base = 2.0;
-  /// Retransmissions per message before it expires with cause
-  /// "retries".
-  int max_retransmits = 5;
   /// Retransmissions allowed per round window across all nodes; excess
   /// retries wait for the next window (storm control).  Default:
   /// max(4, 2 * nodes).
   int round_retransmit_budget = 0;
-  /// An ack older than the pending seq only triggers fast retransmit if
-  /// the pending frame has been in flight at least this long (the ack
-  /// may simply predate it).  Default: 2 * (latency + jitter).
-  double min_ack_flight_s = 0.0;
   /// Period of the retransmit-timer scan.  One repeating simulation
   /// event drives all timers (exact per-message events would leak lazy
   /// cancellations); deadlines quantize to this grid.  Default:
@@ -100,53 +94,43 @@ struct TransportOptions {
   double pump_period_s = 0.0;
 };
 
+/// Backoff multiplier: retry k waits rto_s * kBackoffBase^k.
+inline constexpr double kBackoffBase = 2.0;
+/// Retransmissions per message before it expires with cause "retries".
+inline constexpr int kMaxRetransmits = 5;
+
 /// Per-direction session layer over one Channel.  The daemon owns two: a
 /// "down" transport (coordinator -> nodes: settings, tracked) and an "up"
 /// transport (nodes -> coordinator: summaries, sequenced but untracked —
 /// the next round's summary supersedes a lost one by construction).
 class Transport {
  public:
-  /// Owner callbacks for journalling; all optional.  `direction` is the
-  /// wire direction of the affected frame ("down" or "up").
-  struct Hooks {
-    /// A send consumed by the channel_loss fault shim (the channel's own
-    /// probabilistic loss still reports through Channel's drop handler).
-    std::function<void(int node)> on_fault_drop;
-    std::function<void(int node, std::uint64_t seq, int attempt)>
-        on_retransmit;
-    /// A tracked message gave up: `cause` is "retries" (budget of
-    /// max_retransmits exhausted) or "epoch" (fenced by a newer epoch).
-    std::function<void(int node, std::uint64_t seq, int attempts,
-                       const char* cause)>
-        on_expired;
-  };
-
   /// `faults` may be null (no shim).  `nodes`/`coordinators` size the
-  /// session tables.  In reliable mode a repeating pump event is
+  /// session tables.  `journal` (may be null) receives the message events
+  /// this transport writes.  In reliable mode a repeating pump event is
   /// scheduled on `sim` to drive retransmit timers; datagram mode
   /// schedules nothing.
   Transport(sim::Simulation& sim, Channel& channel,
             const sim::FaultPlan* faults, const TransportOptions& options,
-            std::size_t nodes, std::size_t coordinators, const char* direction);
+            std::size_t nodes, std::size_t coordinators, const char* direction,
+            sim::EventLog* journal = nullptr);
   ~Transport();
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
-
   bool reliable() const { return opts_.mode == TransportMode::kReliable; }
   const TransportOptions& options() const { return opts_; }
-  const char* direction() const { return direction_; }
 
   /// Sends `envelope` (+ piggybacked `ack`) to `node` through the fault
   /// shim and channel.  In reliable mode frames to node >= 0 are
   /// sequenced; `track` additionally installs the frame in the node's
   /// pending slot for ack-or-retransmit (one slot per node — a newer
   /// tracked send supersedes the old frame, which cumulative acks make
-  /// safe).  node < 0 (heartbeat broadcast) bypasses both shim and
+  /// safe).  node -1 (heartbeat broadcast) bypasses both shim and
   /// sequencing.  Returns false when the shim or channel dropped the
-  /// frame (tracked frames still retransmit later).
+  /// frame, which is journalled as message_lost with cause "fault" or
+  /// "channel" (tracked frames still retransmit later).
   bool send(int node, const Envelope& envelope, std::uint64_t ack, bool track,
             std::function<void(const Frame&)> deliver);
 
@@ -180,10 +164,24 @@ class Transport {
 
   bool has_pending() const;
 
+  /// A message to or from `node` lost to the protocol rather than the
+  /// wire — `cause` names why (a crashed or partitioned receiver).
+  /// Counted and journalled like the transport's own drops.
+  void lost(int node, const char* cause);
+
+  /// Receiver-side checksum check: true when the frame was damaged in
+  /// flight (counted and journalled as message_corrupt); the caller drops
+  /// it instead of delivering it.
+  bool corrupt(int node, const Frame& frame);
+
+  /// Messages lost (shim, channel and lost() reports): the journal's
+  /// message_lost events in this direction.
+  std::size_t messages_lost() const { return lost_; }
+  /// Frames corrupt() caught: the journal's message_corrupt events.
+  std::size_t messages_corrupt() const { return corrupt_; }
   std::size_t retransmits() const { return retransmits_; }
   std::size_t expired() const { return expired_; }
   std::size_t duplicates_suppressed() const { return duplicates_; }
-  std::size_t fault_dropped() const { return fault_dropped_; }
 
  private:
   struct Pending {
@@ -204,6 +202,8 @@ class Transport {
   /// first transmission and retransmission).  Returns false on drop.
   bool transmit(int node, const Frame& frame,
                 const std::function<void(const Frame&)>& deliver);
+  /// Hands one frame's delivery to the channel; a channel drop is lost().
+  bool put(int node, double extra_delay_s, std::function<void()> handler);
   void pump();
   void maybe_retransmit(int node);
   void expire(int node, const char* cause);
@@ -214,7 +214,12 @@ class Transport {
   const sim::FaultPlan* faults_;
   TransportOptions opts_;
   const char* direction_;
-  Hooks hooks_;
+  sim::EventLog* journal_;
+  double reorder_delay_s_;    ///< T + 3 latency: lands behind later traffic.
+  double duplicate_delay_s_;  ///< One latency (>= 1 us) after the original.
+  /// A stale ack fast-retransmits only after the pending frame has been in
+  /// flight this long, 2 (latency + jitter): the ack may predate it.
+  double min_ack_flight_s_;
 
   std::vector<std::uint64_t> next_seq_;   ///< Per-node send counters.
   std::vector<Pending> pending_;          ///< Per-node retransmit slots.
@@ -226,10 +231,11 @@ class Transport {
   long budget_window_ = -1;
   int budget_used_ = 0;
 
+  std::size_t lost_ = 0;
+  std::size_t corrupt_ = 0;
   std::size_t retransmits_ = 0;
   std::size_t expired_ = 0;
   std::size_t duplicates_ = 0;
-  std::size_t fault_dropped_ = 0;
 };
 
 }  // namespace fvsst::cluster

@@ -78,7 +78,6 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
 
   IpcEstimator::Options est_opts;
   est_opts.idle_signal = config_.idle_signal;
-  est_opts.halted_idle_threshold = config_.halted_idle_threshold;
   std::size_t flat = 0;
   for (std::size_t n = 0; n < cluster_.node_count(); ++n) {
     std::vector<cluster::ProcAddress> procs;
@@ -141,8 +140,8 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     if (plan_has_coordinator_faults(config_.fault_plan)) {
       double bound = -1.0;
       if (config_.failover.standby) {
-        bound = (config_.failover.takeover_factor +
-                 config_.failover.takeover_jitter_factor + 1.0) *
+        bound = (config_.failover.takeover_factor + kTakeoverJitterFactor +
+                 1.0) *
                     period +
                 config_.t_sample_s + 2.0 * lat +
                 config_.channel_jitter_s;
@@ -166,28 +165,10 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     topts.pump_period_s = config_.t_sample_s;
     up_transport_ = std::make_unique<cluster::Transport>(
         sim_, up_channel_, config_.fault_plan, topts, cluster_.node_count(),
-        /*coordinators=*/2, "up");
+        /*coordinators=*/2, "up", config_.journal);
     down_transport_ = std::make_unique<cluster::Transport>(
         sim_, down_channel_, config_.fault_plan, topts, cluster_.node_count(),
-        /*coordinators=*/2, "down");
-    cluster::Transport::Hooks up_hooks;
-    up_hooks.on_fault_drop = [this](int node) {
-      journal_message_lost(node, "up", "fault");
-    };
-    up_transport_->set_hooks(std::move(up_hooks));
-    cluster::Transport::Hooks down_hooks;
-    down_hooks.on_fault_drop = [this](int node) {
-      journal_message_lost(node, "down", "fault");
-    };
-    down_hooks.on_retransmit = [this](int node, std::uint64_t seq,
-                                      int attempt) {
-      journal_retransmit(node, seq, attempt, "down");
-    };
-    down_hooks.on_expired = [this](int node, std::uint64_t seq, int attempts,
-                                   const char* cause) {
-      journal_expired(node, seq, attempts, cause, "down");
-    };
-    down_transport_->set_hooks(std::move(down_hooks));
+        /*coordinators=*/2, "down", config_.journal);
     // The bounded-convergence promise: after the last channel disturbance
     // (loss, corruption or an expired message), every live node re-applies
     // the coordinator's grant within this window.  Reliable mode repairs
@@ -251,12 +232,6 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
   });
   up_channel_.set_loss_probability(config.channel_loss_probability);
   down_channel_.set_loss_probability(config.channel_loss_probability);
-  // Losses are counted at the sender via the drop callbacks, not inferred
-  // after the fact; sending_node_ attributes each drop (single-threaded).
-  up_channel_.set_drop_handler(
-      [this] { journal_message_lost(sending_node_, "up", "channel"); });
-  down_channel_.set_drop_handler(
-      [this] { journal_message_lost(sending_node_, "down", "channel"); });
   node_fence_.resize(cluster_.node_count());
   node_last_contact_.assign(cluster_.node_count(), sim_.now());
   node_failsafe_.assign(cluster_.node_count(), 0);
@@ -294,7 +269,6 @@ Coordinator::Wiring ClusterDaemon::make_wiring(
   w.faults = config_.fault_plan;
   w.failover = config_.failover;
   w.period_s = config_.t_sample_s * config_.schedule_every_n_samples;
-  w.silent_node_factor = config_.silent_node_factor;
   for (const auto& agent : agents_) {
     w.node_spans.emplace_back(agent->first_cpu, agent->sampler.cpu_count());
   }
@@ -401,13 +375,8 @@ double ClusterDaemon::node_failsafe_hz(std::size_t node) const {
   // The power budget is a hardware broadcast (paper Sec. 2), so a node cut
   // off from every coordinator still knows the global limit; its fair,
   // coordination-free share is budget over the cluster's CPU count.
-  const double share_w = budget_.effective_limit_w() /
-                         static_cast<double>(proc_tables_.size());
-  const auto& table = cluster_.node(node).machine().freq_table;
-  if (const auto point = table.highest_under_power(share_w)) {
-    return point->hz;
-  }
-  return table.min_hz();  // Even f_min exceeds the share: best effort.
+  return cluster_.node(node).machine().freq_table.equal_share_hz(
+      budget_.effective_limit_w(), proc_tables_.size());
 }
 
 void ClusterDaemon::node_failsafe_tick(std::size_t node) {
@@ -489,7 +458,6 @@ void ClusterDaemon::node_send_summary(std::size_t node) {
   // The in-flight copy rides in the agent's own buffer, free again once
   // the previous summary has been delivered.
   reusable_buffer(agent.summary) = agent.views;
-  sending_node_ = static_cast<int>(node);
   cluster::Envelope envelope;
   envelope.epoch = down_transport_->node_ack_epoch(static_cast<int>(node));
   up_transport_->send(
@@ -507,11 +475,7 @@ void ClusterDaemon::deliver_summary(std::size_t node,
   const std::size_t first_cpu = agents_[node]->first_cpu;
   // A frame damaged in flight is detected here by its checksum and
   // dropped — never silently misdelivered as a good summary.
-  if (cluster::frame_corrupt(frame)) {
-    ++messages_corrupt_;
-    journal_corrupt(static_cast<int>(node), "up");
-    return;
-  }
+  if (up_transport_->corrupt(static_cast<int>(node), frame)) return;
   // One summary reaches every coordinator (the standby shadows the same
   // traffic, which is what makes takeover warm).  A crashed or partitioned
   // coordinator misses it; the loss is journalled only when it deprives
@@ -521,14 +485,13 @@ void ClusterDaemon::deliver_summary(std::size_t node,
     if (!coordinator) continue;
     if (!coordinator->refresh_fault_state(now)) {
       if (coordinator->leader()) {
-        journal_message_lost(static_cast<int>(node), "up",
-                             "coordinator_crash");
+        up_transport_->lost(static_cast<int>(node), "coordinator_crash");
       }
       continue;
     }
     if (coordinator->partitioned(now)) {
       if (coordinator->leader()) {
-        journal_message_lost(static_cast<int>(node), "up", "partition");
+        up_transport_->lost(static_cast<int>(node), "partition");
       }
       continue;
     }
@@ -551,41 +514,6 @@ void ClusterDaemon::deliver_summary(std::size_t node,
   }
 }
 
-void ClusterDaemon::journal_message_lost(int node, const char* direction,
-                                         const char* cause) {
-  ++messages_lost_;
-  if (config_.journal) {
-    config_.journal->append(sim_.now(), sim::EventType::kMessageLost)
-        .set("node", static_cast<double>(node))
-        .set("direction", std::string(direction))
-        .set("cause", std::string(cause));
-  }
-}
-
-void ClusterDaemon::journal_retransmit(int node, std::uint64_t seq,
-                                       int attempt, const char* direction) {
-  if (config_.journal) {
-    config_.journal->append(sim_.now(), sim::EventType::kMessageRetransmit)
-        .set("node", static_cast<double>(node))
-        .set("seq", static_cast<double>(seq))
-        .set("attempt", static_cast<double>(attempt))
-        .set("direction", std::string(direction));
-  }
-}
-
-void ClusterDaemon::journal_expired(int node, std::uint64_t seq, int attempts,
-                                    const char* cause,
-                                    const char* direction) {
-  if (config_.journal) {
-    config_.journal->append(sim_.now(), sim::EventType::kMessageExpired)
-        .set("node", static_cast<double>(node))
-        .set("seq", static_cast<double>(seq))
-        .set("attempts", static_cast<double>(attempts))
-        .set("cause", std::string(cause))
-        .set("direction", std::string(direction));
-  }
-}
-
 void ClusterDaemon::journal_duplicate(int node, std::uint64_t seq,
                                       std::uint64_t applied,
                                       const char* direction) {
@@ -594,14 +522,6 @@ void ClusterDaemon::journal_duplicate(int node, std::uint64_t seq,
         .set("node", static_cast<double>(node))
         .set("seq", static_cast<double>(seq))
         .set("applied_seq", static_cast<double>(applied))
-        .set("direction", std::string(direction));
-  }
-}
-
-void ClusterDaemon::journal_corrupt(int node, const char* direction) {
-  if (config_.journal) {
-    config_.journal->append(sim_.now(), sim::EventType::kMessageCorrupt)
-        .set("node", static_cast<double>(node))
         .set("direction", std::string(direction));
   }
 }
@@ -646,9 +566,10 @@ void ClusterDaemon::monitor_sample() {
     mon_last_round_time_ = now;
   }
   mon.observe(mon_since_round_, now, now - mon_last_round_time_);
+  const std::size_t lost = messages_lost();
   mon.observe(mon_messages_lost_, now,
-              static_cast<double>(messages_lost_ - mon_last_messages_lost_));
-  mon_last_messages_lost_ = messages_lost_;
+              static_cast<double>(lost - mon_last_messages_lost_));
+  mon_last_messages_lost_ = lost;
   // Retransmission pressure (0 in datagram mode): the retransmit_storm
   // rule watches this delta for a channel so bad the reliable transport
   // is spinning instead of converging.
@@ -688,16 +609,15 @@ void ClusterDaemon::send_heartbeat(Coordinator& from) {
   const double now = sim_.now();
   from.heartbeat_sent(now);
   if (from.partitioned(now)) {
-    journal_message_lost(-1, "down", "partition");
+    down_transport_->lost(-1, "partition");
     return;
   }
   const cluster::Envelope envelope{from.epoch(), from.id()};
-  sending_node_ = -1;
-  down_channel_.send(
-      envelope, [this, grants = from.last_grants(),
-                 budget_w = budget_.effective_limit_w()](
-                    const cluster::Envelope& env) {
-        deliver_heartbeat(env, grants, budget_w);
+  down_transport_->send(
+      -1, envelope, /*ack=*/0, /*track=*/false,
+      [this, grants = from.last_grants(),
+       budget_w = budget_.effective_limit_w()](const cluster::Frame& frame) {
+        deliver_heartbeat(frame.envelope, grants, budget_w);
       });
 }
 
@@ -749,13 +669,12 @@ void ClusterDaemon::fan_out(const Coordinator& from,
   const std::shared_ptr<const std::vector<double>> snapshot = grants_;
   for (std::size_t n = 0; n < agents_.size(); ++n) {
     if (cut_off) {
-      journal_message_lost(static_cast<int>(n), "down", "partition");
+      down_transport_->lost(static_cast<int>(n), "partition");
       continue;
     }
     // The transport owns fault-injected loss and, in reliable mode, tracks
     // the frame for ack-or-retransmit.  The deliver closure is re-invoked
     // on every retransmission, so it must not consume its captures.
-    sending_node_ = static_cast<int>(n);
     down_transport_->send(
         static_cast<int>(n), envelope, /*ack=*/0, /*track=*/true,
         [this, n, snapshot](const cluster::Frame& frame) {
@@ -772,16 +691,12 @@ void ClusterDaemon::apply_on_node(
   if (config_.fault_plan &&
       config_.fault_plan->active(sim::FaultKind::kNodeCrash,
                                  static_cast<int>(node), sim_.now())) {
-    journal_message_lost(static_cast<int>(node), "down", "node_crash");
+    down_transport_->lost(static_cast<int>(node), "node_crash");
     return;
   }
   // A frame damaged in flight is detected here by its checksum and
   // dropped — never silently applied as good settings.
-  if (cluster::frame_corrupt(frame)) {
-    ++messages_corrupt_;
-    journal_corrupt(static_cast<int>(node), "down");
-    return;
-  }
+  if (down_transport_->corrupt(static_cast<int>(node), frame)) return;
   // The epoch fence: grants from a deposed coordinator are refused, so a
   // stale leader can never over-commit the budget (split-brain guard).
   if (!node_fence_[node].admit(envelope.epoch)) {

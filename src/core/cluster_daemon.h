@@ -31,6 +31,12 @@
 // off by default: with FailoverConfig at defaults and no coordinator
 // faults in the plan, the daemon is bit-for-bit the single-coordinator
 // scheduler (messages, randomness and journal included).
+//
+// Every message — summaries up, settings and heartbeats down — crosses a
+// cluster::Transport, which journals each loss, retransmission, expiry
+// and corrupt frame; the daemon reports the protocol's own losses (a
+// crashed or partitioned coordinator, a crashed node) through the same
+// transports, so its loss and corruption counts are theirs.
 #pragma once
 
 #include <cstddef>
@@ -66,10 +72,10 @@ struct ClusterDaemonConfig {
   /// the next round.
   double channel_loss_probability = 0.0;
   IdleSignal idle_signal = IdleSignal::kOsSignal;
-  double halted_idle_threshold = 0.90;
   /// Decision journal (not owned; must outlive the daemon).  Records the
   /// global scheduler's rounds plus deferred per-node applies (actuation
-  /// events with stage = "node_apply"), lost messages and degraded modes.
+  /// events with stage = "node_apply") and degraded modes; the transports
+  /// record the message events into it.
   sim::EventLog* journal = nullptr;
   /// Injected faults (not owned; must outlive the daemon).  Cluster kinds
   /// consulted here: kNodeCrash (agent stops sampling/summarising and
@@ -80,11 +86,6 @@ struct ClusterDaemonConfig {
   /// or from a coordinator is dropped).  Null or empty: no injection,
   /// bit-for-bit identical behaviour.
   const sim::FaultPlan* fault_plan = nullptr;
-  /// A node silent for more than this many global periods T is pinned at
-  /// f_max in the power accounting (the conservative assumption that keeps
-  /// the global budget honoured when its true draw is unknown).  0
-  /// disables silent-node detection.
-  double silent_node_factor = 3.0;
   /// Coordinator high availability (standby election, epoch fencing,
   /// node-local fail-safe).  Defaults keep everything off.
   FailoverConfig failover;
@@ -180,9 +181,11 @@ class ClusterDaemon {
   /// Each loss leaves one node on stale settings until the next round.
   std::size_t settings_dropped() const { return down_channel_.dropped(); }
 
-  /// Messages counted lost via the channels' drop callbacks plus those a
-  /// fault plan forced (the journal's message_lost events).
-  std::size_t messages_lost() const { return messages_lost_; }
+  /// Messages lost on either transport: channel and fault-shim drops plus
+  /// the protocol's own losses (the journal's message_lost events).
+  std::size_t messages_lost() const {
+    return up_transport_->messages_lost() + down_transport_->messages_lost();
+  }
 
   /// Settings messages a node's epoch fence rejected (grants from a
   /// deposed coordinator; the journal's settings_rejected events).
@@ -209,7 +212,10 @@ class ClusterDaemon {
 
   /// Frames dropped because their checksum no longer matched (the
   /// channel_corrupt fault; the journal's message_corrupt events).
-  std::size_t messages_corrupt() const { return messages_corrupt_; }
+  std::size_t messages_corrupt() const {
+    return up_transport_->messages_corrupt() +
+           down_transport_->messages_corrupt();
+  }
 
   const cluster::Transport& up_transport() const { return *up_transport_; }
   const cluster::Transport& down_transport() const { return *down_transport_; }
@@ -295,15 +301,8 @@ class ClusterDaemon {
   void apply_on_node(std::size_t node,
                      const std::shared_ptr<const std::vector<double>>& freqs,
                      const cluster::Frame& frame);
-  void journal_message_lost(int node, const char* direction,
-                            const char* cause);
-  void journal_retransmit(int node, std::uint64_t seq, int attempt,
-                          const char* direction);
-  void journal_expired(int node, std::uint64_t seq, int attempts,
-                       const char* cause, const char* direction);
   void journal_duplicate(int node, std::uint64_t seq, std::uint64_t applied,
                          const char* direction);
-  void journal_corrupt(int node, const char* direction);
 
   sim::Simulation& sim_;
   cluster::Cluster& cluster_;
@@ -367,12 +366,7 @@ class ClusterDaemon {
   /// Per node: still owes an apply for the latest budget-triggered round.
   std::vector<char> pending_apply_;
   sim::TimeSeries* power_trace_ = nullptr;  ///< Registry-owned.
-  /// Node a send is in flight for (-1: a coordinator heartbeat), so the
-  /// channels' drop callbacks can attribute the loss (single-threaded).
-  int sending_node_ = 0;
-  std::size_t messages_lost_ = 0;
   std::size_t settings_rejected_ = 0;
-  std::size_t messages_corrupt_ = 0;
   // --- Node-side protocol state (each node's own tiny piece of the
   // failover machinery; lives here because the daemon *is* the nodes'
   // receive path). ---

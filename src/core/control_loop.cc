@@ -523,7 +523,7 @@ void IpcEstimator::update(const std::vector<IntervalSample>& samples,
         v.idle = s.os_idle;
         break;
       case IdleSignal::kHaltedCounter:
-        v.idle = halted_fraction_[i] > options_.halted_idle_threshold;
+        v.idle = halted_fraction_[i] > kHaltedIdleThreshold;
         break;
       case IdleSignal::kNone:
         v.idle = false;

@@ -65,6 +65,10 @@ enum class IdleSignal {
   kNone,
 };
 
+/// Halted-cycle fraction above which a processor counts as idle under
+/// IdleSignal::kHaltedCounter.
+inline constexpr double kHaltedIdleThreshold = 0.90;
+
 /// One CPU's measurements over a closed sampling interval.
 struct IntervalSample {
   cpu::PerfCounters delta;   ///< Counter deltas accumulated this interval.
@@ -438,9 +442,6 @@ class IpcEstimator final : public Estimator {
  public:
   struct Options {
     IdleSignal idle_signal = IdleSignal::kOsSignal;
-    /// Halted-cycle fraction above which a processor counts as idle when
-    /// idle_signal == kHaltedCounter.
-    double halted_idle_threshold = 0.90;
     /// EWMA weight of the *previous* estimate in [0, 1): 0 uses each
     /// interval's fresh estimate alone (the paper's prototype).
     double smoothing = 0.0;

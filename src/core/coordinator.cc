@@ -365,8 +365,7 @@ void Coordinator::on_summary(std::size_t node, std::size_t first_cpu,
 }
 
 void Coordinator::refresh_silent_nodes(double now) {
-  if (wiring_.silent_node_factor <= 0.0) return;
-  const double threshold = wiring_.silent_node_factor * wiring_.period_s;
+  const double threshold = kSilentNodeFactor * wiring_.period_s;
   for (std::size_t n = 0; n < wiring_.node_spans.size(); ++n) {
     if (node_silent_[n]) continue;
     if (now - last_summary_at_[n] <= threshold) continue;
@@ -427,8 +426,7 @@ void Coordinator::run_round(double now, double budget_w,
   // bookkeeping (no randomness, no events), and a coordinator crash can be
   // injected even without the standby configured.
   store_.append_grant({now, epoch_, budget_w, rounds_, last_grants_});
-  const int every = wiring_.failover.snapshot_every_rounds;
-  if (every > 0 && rounds_ % static_cast<std::uint64_t>(every) == 0) {
+  if (rounds_ % kSnapshotEveryRounds == 0) {
     CoordinatorSnapshot snap;
     snap.epoch = epoch_;
     snap.round = rounds_;
@@ -451,8 +449,7 @@ void Coordinator::run_round(double now, double budget_w,
 bool Coordinator::heartbeat_due(double now) const {
   if (!wiring_.failover.standby || crashed_ || !leader_) return false;
   if (last_heartbeat_sent_ < 0.0) return true;
-  return now - last_heartbeat_sent_ >=
-         wiring_.failover.heartbeat_factor * wiring_.period_s;
+  return now - last_heartbeat_sent_ >= kHeartbeatFactor * wiring_.period_s;
 }
 
 bool Coordinator::maybe_take_over(double now) {
@@ -465,8 +462,8 @@ bool Coordinator::maybe_take_over(double now) {
   const cluster::Epoch claim =
       cluster::claim_epoch(std::max(epoch_, max_heard_), wiring_.id);
   const double jitter = cluster::takeover_jitter_s(
-      wiring_.failover.election_seed, wiring_.id, claim,
-      wiring_.failover.takeover_jitter_factor * wiring_.period_s);
+      kElectionSeed, wiring_.id, claim,
+      kTakeoverJitterFactor * wiring_.period_s);
   if (detector_.silent_for(now) <= timeout + jitter) return false;
 
   leader_ = true;

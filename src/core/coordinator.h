@@ -47,29 +47,35 @@
 
 namespace fvsst::core {
 
-/// Coordinator high-availability knobs.  All timing knobs are in units of
-/// the global period T; the defaults keep the whole feature off, which is
+/// Leader heartbeat period, in units of the global period T.
+inline constexpr double kHeartbeatFactor = 0.5;
+/// Maximum deterministic election jitter on top of the takeover timeout,
+/// in T.
+inline constexpr double kTakeoverJitterFactor = 0.5;
+/// A coordinator snapshots its state every this many rounds.
+inline constexpr std::uint64_t kSnapshotEveryRounds = 4;
+/// Seed for the deterministic election jitter.
+inline constexpr std::uint64_t kElectionSeed = 0x5eed;
+/// A node silent for more than this many T is pinned at f_max in the
+/// coordinator's power accounting (the conservative assumption that keeps
+/// the global budget honoured when its true draw is unknown).
+inline constexpr double kSilentNodeFactor = 3.0;
+
+/// Coordinator high-availability knobs.  Timing knobs are in units of the
+/// global period T; the defaults keep the whole feature off, which is
 /// bit-for-bit identical to the single-coordinator daemon.
 struct FailoverConfig {
   /// Build a standby coordinator that shadows summaries and elects itself
   /// when leader heartbeats stop.
   bool standby = false;
-  /// Leader heartbeat period, in T.
-  double heartbeat_factor = 0.5;
   /// Leader silence before a standby starts an election, in T.
   double takeover_factor = 3.0;
-  /// Maximum deterministic election jitter on top of the timeout, in T.
-  double takeover_jitter_factor = 0.5;
   /// A node that has seen no coordinator settings/heartbeat for this many
   /// T autonomously drops to the frequency that keeps budget/N per node
   /// (0: disabled).  Honours the global budget through total coordinator
   /// loss — the budget signal itself is a hardware broadcast (paper
   /// Sec. 2), so nodes know the post-failure limit without a coordinator.
   double node_failsafe_factor = 0.0;
-  /// Snapshot the coordinator state every this many rounds.
-  int snapshot_every_rounds = 4;
-  /// Seed for the deterministic election jitter.
-  std::uint64_t election_seed = 0x5eed;
 
   /// Any behaviour-changing part of the protocol on?
   bool enabled() const { return standby || node_failsafe_factor > 0.0; }
@@ -154,7 +160,6 @@ class Coordinator {
     const sim::FaultPlan* faults = nullptr;  ///< Not owned; may be null.
     FailoverConfig failover;
     double period_s = 0.1;               ///< The global period T.
-    double silent_node_factor = 3.0;
     /// Per node: (first flattened CPU, CPU count).
     std::vector<std::pair<std::size_t, std::size_t>> node_spans;
     /// Engine construction parameters (the loop is rebuilt on restart —

@@ -27,7 +27,6 @@ FvsstDaemon::FvsstDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
       sim_.now());
   IpcEstimator::Options est_opts;
   est_opts.idle_signal = config_.idle_signal;
-  est_opts.halted_idle_threshold = config_.halted_idle_threshold;
   est_opts.smoothing = config_.estimate_smoothing;
   auto estimator = std::make_unique<IpcEstimator>(
       cluster_.node(0).machine().latencies, est_opts);
@@ -66,7 +65,7 @@ FvsstDaemon::FvsstDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
   // hosting CPU), charged just before the policy runs.
   loop_config.pre_policy = [this](CycleTrigger) {
     cluster_.core(procs_[config_.daemon_cpu])
-        .steal_time(config_.overhead_per_schedule_s);
+        .steal_time(kOverheadPerScheduleS);
   };
   loop_config.monitor = config_.monitor;
   if (config_.monitor) {

@@ -35,15 +35,16 @@
 
 namespace fvsst::core {
 
+/// Daemon cost of one scheduling calculation, charged to the daemon CPU
+/// per schedule.
+inline constexpr double kOverheadPerScheduleS = 100e-6;
+
 /// Daemon configuration.
 struct DaemonConfig {
   double t_sample_s = 0.010;            ///< Counter sampling period t.
   int schedule_every_n_samples = 10;    ///< T = n * t.
   FrequencyScheduler::Options scheduler;
   IdleSignal idle_signal = IdleSignal::kOsSignal;
-  /// Halted-cycle fraction above which a processor counts as idle when
-  /// idle_signal == kHaltedCounter.
-  double halted_idle_threshold = 0.90;
   /// EWMA weight of the *previous* estimate in [0, 1): 0 uses each
   /// interval's fresh estimate alone (the paper's prototype); larger
   /// values damp counter noise at the cost of slower phase response —
@@ -51,8 +52,6 @@ struct DaemonConfig {
   double estimate_smoothing = 0.0;
   /// Daemon cost of reading one CPU's counters once (charged per sample).
   double overhead_per_cpu_sample_s = 2e-6;
-  /// Daemon cost of one scheduling calculation (charged per schedule).
-  double overhead_per_schedule_s = 100e-6;
   /// Flattened index of the processor hosting the daemon process.
   std::size_t daemon_cpu = 0;
   /// Paper Sec. 9's improved design: "multiple threads, two per processor"

@@ -41,10 +41,10 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
                               ? config_.shards
                               : cluster::ShardMap::auto_shards(
                                     cluster.node_count())),
-      up_leaf_channel_(sim, config_.link_latency_s, 0.0, sim::Rng(0x7e01)),
-      up_root_channel_(sim, config_.link_latency_s, 0.0, sim::Rng(0x7e02)),
-      down_root_channel_(sim, config_.link_latency_s, 0.0, sim::Rng(0x7e03)),
-      down_leaf_channel_(sim, config_.link_latency_s, 0.0, sim::Rng(0x7e04)) {
+      up_leaf_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e01)),
+      up_root_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e02)),
+      down_root_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e03)),
+      down_leaf_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e04)) {
   if (table_.size() == 0) {
     throw std::invalid_argument("TreeDaemon: empty operating-point table");
   }
@@ -92,7 +92,6 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
         start_t_);
     IpcEstimator::Options est;
     est.idle_signal = config_.idle_signal;
-    est.halted_idle_threshold = config_.halted_idle_threshold;
     leaf.estimator = std::make_unique<IpcEstimator>(latencies, est);
     leaf.views.resize(span.cpu_count);
     leaf.desired.assign(span.cpu_count, 0);
@@ -135,7 +134,7 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
   const double period_T =
       config_.t_sample_s * config_.schedule_every_n_samples;
   root_watch_ =
-      cluster::FailureDetector(config_.takeover_factor * period_T, start_t_);
+      cluster::FailureDetector(kTreeTakeoverFactor * period_T, start_t_);
 
   // Session layers, one per physical hop.  The leaf-edge transports key
   // their sessions (and the channel fault shim) by leaf id; the backbone
@@ -145,24 +144,18 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
   topts.round_period_s = period_T;
   up_leaf_ = std::make_unique<cluster::Transport>(
       sim_, up_leaf_channel_, config_.fault_plan, topts, shards_.size(), aggs,
-      "up");
+      "up", config_.journal);
   up_root_ = std::make_unique<cluster::Transport>(
-      sim_, up_root_channel_, config_.fault_plan, topts, aggs, 2, "up");
+      sim_, up_root_channel_, config_.fault_plan, topts, aggs, 2, "up",
+      config_.journal);
   down_root_ = std::make_unique<cluster::Transport>(
-      sim_, down_root_channel_, config_.fault_plan, topts, aggs, 1, "down");
+      sim_, down_root_channel_, config_.fault_plan, topts, aggs, 1, "down",
+      config_.journal);
   down_leaf_ = std::make_unique<cluster::Transport>(
       sim_, down_leaf_channel_, config_.fault_plan, topts, shards_.size(), 1,
-      "down");
+      "down", config_.journal);
 
   protocol_visible_ = config_.journal != nullptr && config_.standby_root;
-  transport_visible_ =
-      config_.journal != nullptr &&
-      (config_.transport == cluster::TransportMode::kReliable ||
-       (config_.fault_plan != nullptr && !config_.fault_plan->empty()));
-  wire_transport_hooks(*up_leaf_);
-  wire_transport_hooks(*up_root_);
-  wire_transport_hooks(*down_root_);
-  wire_transport_hooks(*down_leaf_);
 
   step_pool_ = std::make_unique<cluster::StepPool>(config_.step_threads);
 
@@ -180,7 +173,7 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     if (config_.journal_topology) {
       meta.set("shards", static_cast<double>(shards_.size()))
           .set("aggregates", static_cast<double>(aggs))
-          .set("link_latency_s", config_.link_latency_s);
+          .set("link_latency_s", kTreeLinkLatencyS);
     }
     for (std::size_t b = 0; b < table_.size(); ++b) {
       config_.journal->append(start_t_, sim::EventType::kTablePoint, -1)
@@ -201,10 +194,12 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     mon_over_budget_ = config_.monitor->input("over_budget_w");
     mon_since_round_ = config_.monitor->input("since_round_s");
     mon_failsafe_frac_ = config_.monitor->input("failsafe_frac");
+    mon_messages_lost_ = config_.monitor->input("messages_lost");
+    mon_retransmits_ = config_.monitor->input("retransmits");
+    mon_journal_dropped_ = config_.monitor->input("journal_dropped");
     mon_last_round_t_ = start_t_;
   }
   last_sample_t_ = start_t_;
-  last_apply_t_ = start_t_;
 
   budget_.on_change([this](double effective_w) {
     const double now = sim_.now();
@@ -294,7 +289,7 @@ void TreeDaemon::summary_instant(double now) {
   // any flush.
   for (Leaf& leaf : leaves_) leaf_close_interval(leaf, now);
   for (std::size_t a = 0; a < agg_children_.size(); ++a) {
-    sim_.schedule_at(now + config_.link_latency_s,
+    sim_.schedule_at(now + kTreeLinkLatencyS,
                      [this, a] { agg_flush(a); });
   }
 
@@ -347,15 +342,7 @@ void TreeDaemon::leaf_close_interval(Leaf& leaf, double now) {
       static_cast<int>(lid), env, down_leaf_->node_ack(static_cast<int>(lid)),
       /*track=*/false,
       [this, lid, agg, child, summary](const cluster::Frame& frame) {
-        if (cluster::frame_corrupt(frame)) {
-          if (config_.journal && transport_visible_) {
-            config_.journal
-                ->append(sim_.now(), sim::EventType::kMessageCorrupt)
-                .set("node", static_cast<double>(lid))
-                .set("direction", std::string("up"));
-          }
-          return;
-        }
+        if (up_leaf_->corrupt(static_cast<int>(lid), frame)) return;
         if (up_leaf_->receive_at_coordinator(static_cast<int>(agg),
                                              static_cast<int>(lid), frame) !=
             cluster::Transport::Verdict::kDeliver) {
@@ -398,15 +385,7 @@ void TreeDaemon::agg_flush(std::size_t agg) {
         static_cast<int>(agg), env,
         down_root_->node_ack(static_cast<int>(agg)), /*track=*/false,
         [this, agg, merged](const cluster::Frame& frame) {
-          if (cluster::frame_corrupt(frame)) {
-            if (config_.journal && transport_visible_) {
-              config_.journal
-                  ->append(sim_.now(), sim::EventType::kMessageCorrupt)
-                  .set("node", static_cast<double>(agg))
-                  .set("direction", std::string("up"));
-            }
-            return;
-          }
+          if (up_root_->corrupt(static_cast<int>(agg), frame)) return;
           down_root_->on_ack(static_cast<int>(agg), frame.envelope.epoch,
                              frame.ack);
           const double t_rx = sim_.now();
@@ -428,7 +407,7 @@ void TreeDaemon::agg_flush(std::size_t agg) {
   // upward sends (and every earlier flush's) are already enqueued for
   // now + L, so the decision runs after all of this round's deliveries.
   if (last) {
-    sim_.schedule_at(now + config_.link_latency_s, [this] { root_flush(); });
+    sim_.schedule_at(now + kTreeLinkLatencyS, [this] { root_flush(); });
   }
 }
 
@@ -496,10 +475,14 @@ void TreeDaemon::root_decide(RootState& root, CycleTrigger trigger) {
   root.last_decide_t = now;
   if (config_.monitor) mon_last_round_t_ = now;
 
+  // A budget-triggered round answers the budget change, not a new summary
+  // instant (it reuses the mailbox), so its grants' lag runs from now.
+  const double answers_t =
+      trigger == CycleTrigger::kTimer ? last_sample_t_ : now;
   for (std::size_t a = 0; a < agg_children_.size(); ++a) {
     Grant grant;
     grant.round = totals_scratch_.round;
-    grant.sample_t = last_sample_t_;
+    grant.sample_t = answers_t;
     grant.cap = static_cast<std::uint32_t>(profile.cap);
     grant.quota = quotas[a];
     grant.feasible = profile.feasible;
@@ -516,17 +499,10 @@ void TreeDaemon::root_decide(RootState& root, CycleTrigger trigger) {
 
 void TreeDaemon::agg_receive_down(std::size_t agg, const Grant& grant,
                                   const cluster::Frame& frame) {
-  if (cluster::frame_corrupt(frame)) {
-    if (config_.journal && transport_visible_) {
-      config_.journal->append(sim_.now(), sim::EventType::kMessageCorrupt)
-          .set("node", static_cast<double>(agg))
-          .set("direction", std::string("down"));
-    }
-    return;
-  }
+  if (down_root_->corrupt(static_cast<int>(agg), frame)) return;
   if (down_root_->receive_at_node(static_cast<int>(agg), frame) !=
       cluster::Transport::Verdict::kDeliver) {
-    if (config_.journal && transport_visible_) {
+    if (config_.journal) {
       config_.journal->append(sim_.now(), sim::EventType::kMessageDuplicate)
           .set("node", static_cast<double>(agg))
           .set("seq", static_cast<double>(frame.seq))
@@ -559,21 +535,14 @@ void TreeDaemon::agg_receive_down(std::size_t agg, const Grant& grant,
 void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
                             const cluster::Frame& frame) {
   const double now = sim_.now();
-  if (cluster::frame_corrupt(frame)) {
-    if (config_.journal && transport_visible_) {
-      config_.journal->append(now, sim::EventType::kMessageCorrupt)
-          .set("node", static_cast<double>(leaf_id))
-          .set("direction", std::string("down"));
-    }
-    return;
-  }
+  if (down_leaf_->corrupt(static_cast<int>(leaf_id), frame)) return;
   if (leaf_down(leaf_id, now)) {
-    journal_message_lost(static_cast<int>(leaf_id), "down", "fault");
+    down_leaf_->lost(static_cast<int>(leaf_id), "fault");
     return;
   }
   if (down_leaf_->receive_at_node(static_cast<int>(leaf_id), frame) !=
       cluster::Transport::Verdict::kDeliver) {
-    if (config_.journal && transport_visible_) {
+    if (config_.journal) {
       config_.journal->append(now, sim::EventType::kMessageDuplicate)
           .set("node", static_cast<double>(leaf_id))
           .set("seq", static_cast<double>(frame.seq))
@@ -637,7 +606,6 @@ void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
     }
   }
   if (grant.round >= last_applied_round_) {
-    last_apply_t_ = now;
     last_lag_s_ = now - grant.sample_t;
     if (grant.round > last_applied_round_) {
       last_applied_round_ = grant.round;
@@ -745,60 +713,45 @@ void TreeDaemon::failsafe_check(double now) {
 }
 
 double TreeDaemon::failsafe_hz() const {
-  const double share =
-      budget_.effective_limit_w() / static_cast<double>(total_cpus_);
-  const auto point = table_.highest_under_power(share);
-  return point ? point->hz : table_[0].hz;
+  return table_.equal_share_hz(budget_.effective_limit_w(), total_cpus_);
 }
 
 void TreeDaemon::monitor_sample(double now) {
   if (!config_.monitor) return;
   sim::monitor::Monitor& mon = *config_.monitor;
-  mon.observe(mon_lag_, now, now - last_apply_t_);
+  // How far the latest applied grant trailed the instant it answers: the
+  // pipeline's latency, which a congested, lossy or retransmitting tree
+  // stretches.
+  mon.observe(mon_lag_, now, last_lag_s_);
   mon.observe(mon_over_budget_, now,
-              cluster_.cpu_power_w() - budget_.effective_limit_w());
+              std::max(0.0, cluster_.cpu_power_w() -
+                                budget_.effective_limit_w()));
   mon.observe(mon_since_round_, now, now - mon_last_round_t_);
   mon.observe(mon_failsafe_frac_, now,
               static_cast<double>(failsafe_shard_count()) /
                   static_cast<double>(leaves_.size()));
+  // Per-evaluation deltas of the four hops' counters, as the flat daemon
+  // feeds its two transports'.
+  std::size_t lost = 0;
+  std::size_t retx = 0;
+  for (const cluster::Transport* hop :
+       {up_leaf_.get(), up_root_.get(), down_root_.get(), down_leaf_.get()}) {
+    lost += hop->messages_lost();
+    retx += hop->retransmits();
+  }
+  mon.observe(mon_messages_lost_, now,
+              static_cast<double>(lost - mon_last_messages_lost_));
+  mon_last_messages_lost_ = lost;
+  mon.observe(mon_retransmits_, now,
+              static_cast<double>(retx - mon_last_retransmits_));
+  mon_last_retransmits_ = retx;
+  if (config_.journal) {
+    const std::size_t dropped = config_.journal->dropped();
+    mon.observe(mon_journal_dropped_, now,
+                static_cast<double>(dropped - mon_last_dropped_));
+    mon_last_dropped_ = dropped;
+  }
   mon.evaluate(now);
-}
-
-void TreeDaemon::journal_message_lost(int child, const char* direction,
-                                      const char* cause) {
-  if (!config_.journal || !transport_visible_) return;
-  config_.journal->append(sim_.now(), sim::EventType::kMessageLost)
-      .set("node", static_cast<double>(child))
-      .set("direction", std::string(direction))
-      .set("cause", std::string(cause));
-}
-
-void TreeDaemon::wire_transport_hooks(cluster::Transport& transport) {
-  cluster::Transport::Hooks hooks;
-  const char* direction = transport.direction();
-  hooks.on_fault_drop = [this, direction](int node) {
-    journal_message_lost(node, direction, "fault");
-  };
-  hooks.on_retransmit = [this, direction](int node, std::uint64_t seq,
-                                          int attempt) {
-    if (!config_.journal || !transport_visible_) return;
-    config_.journal->append(sim_.now(), sim::EventType::kMessageRetransmit)
-        .set("node", static_cast<double>(node))
-        .set("seq", static_cast<double>(seq))
-        .set("attempt", static_cast<double>(attempt))
-        .set("direction", std::string(direction));
-  };
-  hooks.on_expired = [this, direction](int node, std::uint64_t seq,
-                                       int attempts, const char* cause) {
-    if (!config_.journal || !transport_visible_) return;
-    config_.journal->append(sim_.now(), sim::EventType::kMessageExpired)
-        .set("node", static_cast<double>(node))
-        .set("seq", static_cast<double>(seq))
-        .set("attempts", static_cast<double>(attempts))
-        .set("cause", std::string(cause))
-        .set("direction", std::string(direction));
-  };
-  transport.set_hooks(std::move(hooks));
 }
 
 }  // namespace fvsst::core

@@ -23,7 +23,8 @@
 // every downward message is epoch-fenced (cluster::EpochFence per leaf),
 // both tiers' links run through cluster::Transport sessions (reliable
 // mode: sequenced, acked via piggyback on the next upward summary,
-// retransmitted, epoch-fenced), a standby root can take over with a
+// retransmitted, epoch-fenced) that journal every lost, retransmitted,
+// expired and corrupt message, a standby root can take over with a
 // deterministic takeover delay, and a leaf that stops hearing grants
 // drops its shard to the autonomous budget/N fail-safe frequency.
 //
@@ -59,6 +60,13 @@
 
 namespace fvsst::core {
 
+/// One-hop link latency of the tree (leaf->aggregate, aggregate->root,
+/// and the two downward hops).  Fixed, with no jitter, so round timing
+/// cannot depend on the shard count (the tree determinism guarantee).
+inline constexpr double kTreeLinkLatencyS = 100e-6;
+/// Root silence, in units of T, before the standby root claims.
+inline constexpr double kTreeTakeoverFactor = 3.0;
+
 struct TreeDaemonConfig {
   double t_sample_s = 0.010;          ///< The paper's dispatch interval t.
   int schedule_every_n_samples = 10;  ///< T = n * t.
@@ -66,28 +74,24 @@ struct TreeDaemonConfig {
   std::size_t shards = 0;
   /// Aggregate-tier fan-in; 0 picks ~sqrt(shards).
   std::size_t aggregates = 0;
-  /// One-hop link latency (leaf->aggregate, aggregate->root, and the two
-  /// downward hops).  Fixed — no jitter — so round timing cannot depend
-  /// on the shard count (the tree determinism guarantee).
-  double link_latency_s = 100e-6;
   /// Inert (see AdvanceMode); nothing reads it.
   AdvanceMode advance_mode = AdvanceMode::kEvent;
   /// Worker threads for the batched shard pre-sync (1 = serial).
   int step_threads = 1;
   IdleSignal idle_signal = IdleSignal::kOsSignal;
-  double halted_idle_threshold = 0.90;
   FrequencyScheduler::Options scheduler;
   cluster::TransportMode transport = cluster::TransportMode::kDatagram;
-  /// Enable the standby root (takes over after silence).
+  /// Enable the standby root (takes over after kTreeTakeoverFactor T of
+  /// root silence).
   bool standby_root = false;
-  /// Root-silence multiplier (in units of T) before the standby claims;
-  /// also the base of the shard fail-safe clock.
-  double takeover_factor = 3.0;
   /// Shard fail-safe: a leaf silent for this many T drops its slab to the
   /// budget/N share frequency.  0 disables.
   double failsafe_factor = 0.0;
   const sim::FaultPlan* fault_plan = nullptr;
   sim::EventLog* journal = nullptr;
+  /// Online monitor (not owned; may be null).  Fed at every summary
+  /// instant: aggregation_lag_s, over_budget_w, since_round_s,
+  /// failsafe_frac, messages_lost, retransmits and journal_dropped.
   sim::monitor::Monitor* monitor = nullptr;
   /// Emit per-shard / per-tier journal detail (aggregation events with
   /// shard ids, mailbox depths and summary bytes).  Off by default: the
@@ -155,7 +159,9 @@ class TreeDaemon {
   /// Frame carries only the protocol envelope).
   struct Grant {
     std::uint64_t round = 0;
-    double sample_t = 0.0;   ///< Summary instant the decision answers.
+    /// Instant the decision answers: the round's summary instant, or the
+    /// budget change that triggered it.
+    double sample_t = 0.0;
     std::uint32_t cap = 0;   ///< Cap index c*.
     std::uint64_t quota = 0; ///< Promotions granted to this subtree.
     bool feasible = true;
@@ -182,9 +188,6 @@ class TreeDaemon {
   void failsafe_check(double now);
   double failsafe_hz() const;
   void monitor_sample(double now);
-  void journal_message_lost(int child, const char* direction,
-                            const char* cause);
-  void wire_transport_hooks(cluster::Transport& transport);
 
   sim::Simulation& sim_;
   cluster::Cluster& cluster_;
@@ -237,20 +240,22 @@ class TreeDaemon {
   std::uint64_t last_applied_round_ = 0;
   ShardSummary totals_scratch_;
   double last_sample_t_ = 0.0;
-  double last_apply_t_ = 0.0;
+  /// Latest applied grant's apply time minus the instant it answers.
   double last_lag_s_ = 0.0;
   std::size_t summaries_sent_ = 0;
   std::size_t summary_bytes_sent_ = 0;
   std::size_t agg_flushed_ = 0;        ///< Aggregates flushed this round.
   bool protocol_visible_ = false;
-  bool transport_visible_ = false;
 
   // Interned monitor inputs (resolved at construction when a monitor is
   // attached; the flat daemon's idiom).
   sim::monitor::InputId mon_lag_, mon_over_budget_, mon_since_round_,
-      mon_failsafe_frac_;
+      mon_failsafe_frac_, mon_messages_lost_, mon_retransmits_,
+      mon_journal_dropped_;
   double mon_last_round_t_ = 0.0;
-  std::size_t mon_rounds_seen_ = 0;
+  std::size_t mon_last_messages_lost_ = 0;
+  std::size_t mon_last_retransmits_ = 0;
+  std::size_t mon_last_dropped_ = 0;
 };
 
 }  // namespace fvsst::core

@@ -91,6 +91,13 @@ std::optional<OperatingPoint> FrequencyTable::highest_under_power(
   return best;
 }
 
+double FrequencyTable::equal_share_hz(double budget_w,
+                                      std::size_t procs) const {
+  const auto point = highest_under_power(
+      budget_w / static_cast<double>(std::max<std::size_t>(procs, 1)));
+  return point ? point->hz : min_hz();
+}
+
 std::optional<OperatingPoint> FrequencyTable::highest_under_frequency(
     double hz_cap) const {
   std::optional<OperatingPoint> best;

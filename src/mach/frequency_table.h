@@ -5,8 +5,8 @@
 // (250 MHz/9 W ... 1000 MHz/140 W) exposed on the P630 prototype.  A
 // FrequencyTable holds such a set plus the minimum stable voltage for each
 // frequency, and answers the queries the scheduling algorithm needs:
-// lowest/highest setting, the next lower setting, and the highest setting
-// whose peak power fits under a cap.
+// lowest/highest setting, the next lower setting, the highest setting
+// whose peak power fits under a cap, and the equal-share frequency.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +74,12 @@ class FrequencyTable {
   /// Highest setting whose peak power is <= `watts`; nullopt when even the
   /// lowest setting exceeds the cap.
   std::optional<OperatingPoint> highest_under_power(double watts) const;
+
+  /// The equal-share rule: the frequency each of `procs` processors runs
+  /// at when they split `budget_w` evenly — the highest setting whose peak
+  /// power fits budget_w / procs, else f_min (best effort: even the floor
+  /// overshoots the share).  `procs` 0 counts as 1.
+  double equal_share_hz(double budget_w, std::size_t procs) const;
 
   /// Highest setting with frequency <= `hz_cap`; nullopt when `hz_cap` is
   /// below the lowest setting.

@@ -6,6 +6,9 @@
 // export (sim::JsonLinesSink), with nothing stripped.
 #pragma once
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -24,6 +27,15 @@ inline std::string run_bytes(const sim::EventLog& journal,
     telemetry->export_to(sink);
   }
   return out.str();
+}
+
+/// FNV-1a-64 of `bytes` as 16 hex digits: the digest a golden test pins.
+inline std::string fnv1a64_hex(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  char hex[24];
+  std::snprintf(hex, sizeof hex, "%016" PRIx64, h);
+  return hex;
 }
 
 }  // namespace fvsst

@@ -361,47 +361,6 @@ TEST(Channel, SendDelayedZeroMatchesSendRandomness) {
   EXPECT_EQ(plain_times, shimmed_times);
 }
 
-TEST(Channel, DropHandlerReentrantSendIsSafe) {
-  // The documented reentrancy contract: the drop handler runs after the
-  // drop is fully accounted, so a handler that itself sends a message (a
-  // loss report, say) must observe consistent counters and inject an
-  // ordinary message into the stream.
-  sim::Simulation sim;
-  Channel ch(sim, 0.001, 0.0, sim::Rng(5));
-  ch.set_loss_probability(0.5);
-  std::size_t reports_sent = 0;
-  std::size_t reports_delivered = 0;
-  std::size_t dropped_seen_by_handler = 0;
-  ch.set_drop_handler([&] {
-    // The drop that triggered us is already counted.
-    dropped_seen_by_handler = ch.dropped();
-    // One nested send per drop; it may itself be dropped, which re-enters
-    // this handler exactly one level deep (the nested send carries no
-    // handler-side send of its own, so recursion is bounded).
-    ++reports_sent;
-    const std::size_t depth_guard = reports_sent;
-    if (depth_guard <= 4096) {
-      ch.send([&] { ++reports_delivered; });
-    }
-  });
-  int primary_delivered = 0;
-  constexpr int kPrimary = 200;
-  for (int i = 0; i < kPrimary; ++i) {
-    ch.send([&] { ++primary_delivered; });
-  }
-  sim.run_until(1.0);
-  // Every message — primary or nested report — was either delivered or
-  // dropped, and the handler always saw the triggering drop accounted.
-  EXPECT_EQ(ch.delivered() + ch.dropped(),
-            static_cast<std::size_t>(kPrimary) + reports_sent);
-  EXPECT_EQ(ch.dropped(), reports_sent);  // one report per drop
-  EXPECT_EQ(dropped_seen_by_handler, ch.dropped());
-  EXPECT_EQ(static_cast<std::size_t>(primary_delivered) + reports_delivered,
-            ch.delivered());
-  EXPECT_GT(reports_sent, 0u);
-  EXPECT_GT(reports_delivered, 0u);
-}
-
 TEST(Channel, PreservesOrderWithoutJitter) {
   sim::Simulation sim;
   Channel ch(sim, 0.01);

@@ -188,7 +188,7 @@ TEST(Failover, StandbyTakesOverAfterCrashFollowingBudgetDrop) {
   const double period = cfg.t_sample_s * cfg.schedule_every_n_samples;
   const double deadline =
       1.0123 + (cfg.failover.takeover_factor +
-                cfg.failover.takeover_jitter_factor + 1.0) *
+                core::kTakeoverJitterFactor + 1.0) *
                    period;
   double power_at_deadline = -1.0;
   rig.sim.schedule_at(deadline,

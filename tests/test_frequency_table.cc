@@ -94,6 +94,20 @@ TEST(FrequencyTable, HighestUnderPower) {
   EXPECT_FALSE(t.highest_under_power(8.9).has_value());
 }
 
+TEST(FrequencyTable, EqualShareHz) {
+  const FrequencyTable t = small_table();
+  EXPECT_DOUBLE_EQ(t.equal_share_hz(4 * 140.0, 4), 1000 * MHz);
+  EXPECT_DOUBLE_EQ(t.equal_share_hz(400.0, 4), 750 * MHz);
+  // An exact share admits its point, arithmetic ulps notwithstanding.
+  EXPECT_DOUBLE_EQ(t.equal_share_hz(3 * 35.0, 3), 500 * MHz);
+  // The floor: even f_min's 9 W exceeds an 8 W share, so every processor
+  // runs at f_min and the group overshoots its budget.
+  EXPECT_DOUBLE_EQ(t.equal_share_hz(32.0, 4), 250 * MHz);
+  EXPECT_DOUBLE_EQ(t.equal_share_hz(0.0, 4), 250 * MHz);
+  // No processors counts as one.
+  EXPECT_DOUBLE_EQ(t.equal_share_hz(100.0, 0), 750 * MHz);
+}
+
 TEST(FrequencyTable, HighestUnderPowerAdmitsExactArithmeticBoundary) {
   // Power caps are usually derived arithmetically (budget / n, budget minus
   // the other grants) and can land an ulp below the point they intend to

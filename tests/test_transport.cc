@@ -78,6 +78,15 @@ struct Harness {
   }
 };
 
+std::vector<const sim::Event*> events_of(const sim::EventLog& journal,
+                                         sim::EventType type) {
+  std::vector<const sim::Event*> out;
+  for (const sim::Event& e : journal.events()) {
+    if (e.type == type) out.push_back(&e);
+  }
+  return out;
+}
+
 TEST(Transport, DatagramFramesAreUnsequenced) {
   Harness h(TransportMode::kDatagram);
   Transport t(h.sim, h.channel, nullptr, h.opts, 2, 1, "down");
@@ -120,11 +129,8 @@ TEST(Transport, TimerRetransmitsThroughLossBurstThenDelivers) {
   sim::FaultPlan plan(3);
   plan.add({sim::FaultKind::kChannelLoss, 0.0, 0.3, /*target=*/0, 1.0});
   Harness h(TransportMode::kReliable);
-  Transport t(h.sim, h.channel, &plan, h.opts, 1, 1, "down");
-  int fault_drops = 0;
-  Transport::Hooks hooks;
-  hooks.on_fault_drop = [&](int) { ++fault_drops; };
-  t.set_hooks(std::move(hooks));
+  sim::EventLog journal;
+  Transport t(h.sim, h.channel, &plan, h.opts, 1, 1, "down", &journal);
   std::vector<double> applied_at;
   Envelope envelope;
   envelope.epoch = 1;
@@ -139,7 +145,16 @@ TEST(Transport, TimerRetransmitsThroughLossBurstThenDelivers) {
   ASSERT_EQ(applied_at.size(), 1u);
   EXPECT_GT(applied_at.front(), 0.3);
   EXPECT_GT(t.retransmits(), 0u);
-  EXPECT_GT(fault_drops, 0);
+  const std::vector<const sim::Event*> drops =
+      events_of(journal, sim::EventType::kMessageLost);
+  EXPECT_FALSE(drops.empty());
+  EXPECT_EQ(drops.size(), t.messages_lost());
+  for (const sim::Event* e : drops) {
+    EXPECT_EQ(*e->find_str("cause"), "fault");
+    EXPECT_EQ(*e->find_str("direction"), "down");
+  }
+  EXPECT_EQ(events_of(journal, sim::EventType::kMessageRetransmit).size(),
+            t.retransmits());
   EXPECT_FALSE(t.has_pending());
   EXPECT_EQ(t.expired(), 0u);
 }
@@ -149,24 +164,20 @@ TEST(Transport, PermanentLossExpiresAfterMaxRetransmits) {
   plan.add({sim::FaultKind::kChannelLoss, 0.0, 100.0, /*target=*/0, 1.0});
   Harness h(TransportMode::kReliable);
   h.opts.rto_s = 0.05;  // tighten so all retries fit in a short run
-  Transport t(h.sim, h.channel, &plan, h.opts, 1, 1, "down");
-  std::vector<std::pair<std::uint64_t, std::string>> expirations;
-  Transport::Hooks hooks;
-  hooks.on_expired = [&](int, std::uint64_t seq, int attempts,
-                         const char* cause) {
-    EXPECT_EQ(attempts, 5);
-    expirations.emplace_back(seq, cause);
-  };
-  t.set_hooks(std::move(hooks));
+  sim::EventLog journal;
+  Transport t(h.sim, h.channel, &plan, h.opts, 1, 1, "down", &journal);
   Envelope envelope;
   envelope.epoch = 1;
   bool delivered = false;
   t.send(0, envelope, 0, true, [&](const Frame&) { delivered = true; });
   h.sim.run_for(30.0);
   EXPECT_FALSE(delivered);
+  const std::vector<const sim::Event*> expirations =
+      events_of(journal, sim::EventType::kMessageExpired);
   ASSERT_EQ(expirations.size(), 1u);
-  EXPECT_EQ(expirations.front().first, 1u);
-  EXPECT_EQ(expirations.front().second, "retries");
+  EXPECT_EQ(expirations.front()->num_or("seq"), 1.0);
+  EXPECT_EQ(expirations.front()->num_or("attempts"), 5.0);
+  EXPECT_EQ(*expirations.front()->find_str("cause"), "retries");
   EXPECT_EQ(t.retransmits(), 5u);
   EXPECT_EQ(t.expired(), 1u);
   EXPECT_FALSE(t.has_pending());
@@ -190,13 +201,8 @@ TEST(Transport, StaleAckFastRetransmitsAfterFlightTime) {
 
 TEST(Transport, FenceExpiresOlderEpochsOnly) {
   Harness h(TransportMode::kReliable);
-  Transport t(h.sim, h.channel, nullptr, h.opts, 2, 1, "down");
-  std::vector<std::string> causes;
-  Transport::Hooks hooks;
-  hooks.on_expired = [&](int, std::uint64_t, int, const char* cause) {
-    causes.emplace_back(cause);
-  };
-  t.set_hooks(std::move(hooks));
+  sim::EventLog journal;
+  Transport t(h.sim, h.channel, nullptr, h.opts, 2, 1, "down", &journal);
   Envelope old_epoch;
   old_epoch.epoch = 1;
   Envelope new_epoch;
@@ -204,6 +210,11 @@ TEST(Transport, FenceExpiresOlderEpochsOnly) {
   t.send(0, old_epoch, 0, true, [](const Frame&) {});
   t.send(1, new_epoch, 0, true, [](const Frame&) {});
   t.fence(2);
+  std::vector<std::string> causes;
+  for (const sim::Event* e :
+       events_of(journal, sim::EventType::kMessageExpired)) {
+    causes.push_back(*e->find_str("cause"));
+  }
   EXPECT_EQ(causes, (std::vector<std::string>{"epoch"}));
   EXPECT_TRUE(t.has_pending());  // node 1's epoch-2 frame survives
   EXPECT_EQ(t.expired(), 1u);
@@ -261,6 +272,40 @@ TEST(Transport, CoordinatorReceiveDedupsPerCoordinator) {
             Transport::Verdict::kDuplicate);
 }
 
+TEST(Transport, JournalsEveryChannelDropAgainstItsNode) {
+  // The channel's own random loss, not the fault shim: every drop the
+  // channel counts is one message_lost event naming the node the frame
+  // was for, the heartbeat broadcast's -1 included.
+  Harness h(TransportMode::kDatagram);
+  h.channel.set_loss_probability(0.4);
+  sim::EventLog journal;
+  Transport t(h.sim, h.channel, nullptr, h.opts, 3, 1, "up", &journal);
+  std::vector<int> dropped_for;
+  Envelope envelope;
+  for (int round = 0; round < 40; ++round) {
+    for (int node = -1; node < 3; ++node) {
+      if (!t.send(node, envelope, 0, false, [](const Frame&) {})) {
+        dropped_for.push_back(node);
+      }
+    }
+  }
+  h.sim.run_for(0.1);
+  const std::vector<const sim::Event*> lost =
+      events_of(journal, sim::EventType::kMessageLost);
+  ASSERT_EQ(lost.size(), h.channel.dropped());
+  EXPECT_EQ(t.messages_lost(), h.channel.dropped());
+  ASSERT_EQ(lost.size(), dropped_for.size());
+  bool broadcast = false;
+  for (std::size_t i = 0; i < lost.size(); ++i) {
+    EXPECT_EQ(lost[i]->num_or("node", -2.0), dropped_for[i]);
+    EXPECT_EQ(*lost[i]->find_str("direction"), "up");
+    EXPECT_EQ(*lost[i]->find_str("cause"), "channel");
+    broadcast = broadcast || dropped_for[i] == -1;
+  }
+  EXPECT_TRUE(broadcast);
+  EXPECT_EQ(h.channel.delivered() + h.channel.dropped(), 160u);
+}
+
 TEST(Transport, DuplicateFaultDeliversTwiceOnWireOnceAfterDedup) {
   sim::FaultPlan plan(6);
   plan.add({sim::FaultKind::kChannelDuplicate, 0.0, 1.0, /*target=*/0, 1.0});
@@ -285,21 +330,23 @@ TEST(Transport, CorruptFaultIsDetectedNeverMisdelivered) {
   sim::FaultPlan plan(7);
   plan.add({sim::FaultKind::kChannelCorrupt, 0.0, 1.0, /*target=*/0, 1.0});
   Harness h(TransportMode::kReliable);
-  Transport t(h.sim, h.channel, &plan, h.opts, 1, 1, "down");
-  int corrupt = 0;
+  sim::EventLog journal;
+  Transport t(h.sim, h.channel, &plan, h.opts, 1, 1, "down", &journal);
   int applied = 0;
   Envelope envelope;
   envelope.epoch = 1;
   t.send(0, envelope, 0, true, [&](const Frame& f) {
-    if (cluster::frame_corrupt(f)) {
-      ++corrupt;
-      return;
-    }
+    if (t.corrupt(0, f)) return;
     ++applied;
   });
   h.sim.run_for(0.01);
-  EXPECT_EQ(corrupt, 1);
+  EXPECT_EQ(t.messages_corrupt(), 1u);
   EXPECT_EQ(applied, 0);
+  const std::vector<const sim::Event*> corrupt =
+      events_of(journal, sim::EventType::kMessageCorrupt);
+  ASSERT_EQ(corrupt.size(), 1u);
+  EXPECT_EQ(corrupt.front()->num_or("node", -1.0), 0.0);
+  EXPECT_EQ(*corrupt.front()->find_str("direction"), "down");
 }
 
 TEST(Transport, ReorderFaultDelaysBehindLaterTraffic) {
@@ -557,12 +604,6 @@ void run_daemon(cluster::TransportMode mode, const sim::FaultPlan* plan,
   if (out_daemon) *out_daemon = nullptr;  // daemon dies with this scope
 }
 
-std::size_t count_type(const sim::EventLog& log, sim::EventType type) {
-  std::size_t n = 0;
-  for (const sim::Event& e : log.events()) n += e.type == type;
-  return n;
-}
-
 TEST(TransportDaemon, ReliableUnderAdversarialChannelKeepsInvariants) {
   const sim::FaultPlan plan = adversarial_plan();
   sim::EventLog journal;
@@ -573,9 +614,9 @@ TEST(TransportDaemon, ReliableUnderAdversarialChannelKeepsInvariants) {
   // The session layer actually worked for its living: retransmissions
   // fired, duplicates were suppressed, corruption was detected (never
   // silently applied), and the run promised a convergence window.
-  EXPECT_GT(count_type(journal, sim::EventType::kMessageRetransmit), 0u);
-  EXPECT_GT(count_type(journal, sim::EventType::kMessageDuplicate), 0u);
-  EXPECT_GT(count_type(journal, sim::EventType::kMessageCorrupt), 0u);
+  EXPECT_GT(events_of(journal, sim::EventType::kMessageRetransmit).size(), 0u);
+  EXPECT_GT(events_of(journal, sim::EventType::kMessageDuplicate).size(), 0u);
+  EXPECT_GT(events_of(journal, sim::EventType::kMessageCorrupt).size(), 0u);
   bool promised = false;
   for (const sim::Event& e : journal.events()) {
     if (e.type == sim::EventType::kRunMeta && e.has_num("convergence_window_s")) {
@@ -599,8 +640,8 @@ TEST(TransportDaemon, DatagramUnderSameChannelKeepsInvariants) {
   const sim::JournalCheckReport report = sim::check_journal(journal);
   EXPECT_TRUE(report.ok())
       << (report.violations.empty() ? "" : report.violations.front());
-  EXPECT_EQ(count_type(journal, sim::EventType::kMessageRetransmit), 0u);
-  EXPECT_GT(count_type(journal, sim::EventType::kMessageCorrupt), 0u);
+  EXPECT_EQ(events_of(journal, sim::EventType::kMessageRetransmit).size(), 0u);
+  EXPECT_GT(events_of(journal, sim::EventType::kMessageCorrupt).size(), 0u);
 }
 
 TEST(TransportDaemon, ReliableUnderFaultsIsBitDeterministic) {
@@ -623,9 +664,9 @@ TEST(TransportDaemon, CleanChannelReliableCostsNothing) {
   // retransmissions, zero expirations, zero suppressed duplicates.
   sim::EventLog journal;
   run_daemon(cluster::TransportMode::kReliable, nullptr, &journal, nullptr);
-  EXPECT_EQ(count_type(journal, sim::EventType::kMessageRetransmit), 0u);
-  EXPECT_EQ(count_type(journal, sim::EventType::kMessageExpired), 0u);
-  EXPECT_EQ(count_type(journal, sim::EventType::kMessageDuplicate), 0u);
+  EXPECT_EQ(events_of(journal, sim::EventType::kMessageRetransmit).size(), 0u);
+  EXPECT_EQ(events_of(journal, sim::EventType::kMessageExpired).size(), 0u);
+  EXPECT_EQ(events_of(journal, sim::EventType::kMessageDuplicate).size(), 0u);
   EXPECT_TRUE(sim::check_journal(journal).ok());
 }
 

@@ -1,12 +1,14 @@
 // test_tree_daemon - The hierarchical coordinator tree: the headline
 // guarantee that shard count and thread count are invisible
 // (bit-identical journals and final core state), under clean runs and
-// under chaos; plus failover, fail-safe and validation behavior.
+// under chaos; golden digests of whole runs; plus failover, fail-safe,
+// monitor-input and validation behavior.
 #include "core/tree_daemon.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,8 +16,10 @@
 #include "cluster/cluster.h"
 #include "mach/machine_config.h"
 #include "power/budget.h"
+#include "run_bytes.h"
 #include "simkit/event_log.h"
 #include "simkit/fault_plan.h"
+#include "simkit/monitor.h"
 #include "workload/synthetic.h"
 
 namespace fvsst {
@@ -183,6 +187,227 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return std::string(info.param.name);
     });
+
+// --- Golden whole-daemon runs ----------------------------------------------
+
+/// One 12-node, 4-shard tree run whose journal, telemetry and final core
+/// state must reproduce a digest recorded by building these cases against
+/// commit d0b8af3, where each daemon journalled its transports' events
+/// through its own callbacks.
+struct GoldenCase {
+  const char* name = "";
+  const char* digest = "";
+  const char* marker = "";  ///< Proof the case exercised what it names.
+  cluster::TransportMode transport = cluster::TransportMode::kDatagram;
+  bool standby = false;
+  double failsafe_factor = 0.0;
+  bool journal_topology = false;
+  std::vector<sim::FaultSpec> faults = {};
+};
+
+void run_golden(const GoldenCase& c, int threads) {
+  sim::Simulation sim;
+  sim::Rng rng(23);
+  const mach::MachineConfig machine = mach::p630();
+  cluster::Cluster cluster =
+      cluster::Cluster::homogeneous(sim, machine, 12, rng);
+  cluster.core({0, 0}).add_workload(
+      workload::make_uniform_synthetic(90.0, 1e12));
+  cluster.core({5, 1}).add_workload(
+      workload::make_uniform_synthetic(60.0, 1e12));
+  cluster.core({9, 3}).add_workload(
+      workload::make_uniform_synthetic(75.0, 6e8));
+  cluster.core({11, 0}).add_workload(
+      workload::make_uniform_synthetic(25.0, 1e12));
+  const double peak = static_cast<double>(cluster.cpu_count()) * 140.0;
+  power::PowerBudget budget(peak);
+  sim.schedule_at(0.9, [&] { budget.set_limit_w(peak * 0.35); });
+  sim.schedule_at(1.7037, [&] { budget.set_limit_w(peak * 0.5); });
+  sim::FaultPlan plan(5);
+  for (const sim::FaultSpec& f : c.faults) plan.add(f);
+
+  sim::EventLog journal;
+  core::TreeDaemonConfig cfg;
+  cfg.shards = 4;
+  cfg.step_threads = threads;
+  cfg.journal = &journal;
+  if (!plan.empty()) cfg.fault_plan = &plan;
+  cfg.transport = c.transport;
+  cfg.standby_root = c.standby;
+  cfg.failsafe_factor = c.failsafe_factor;
+  cfg.journal_topology = c.journal_topology;
+  core::TreeDaemon daemon(sim, cluster, machine.freq_table, budget, cfg);
+  sim.run_for(2.5);
+
+  std::string bytes = run_bytes(journal, &daemon.telemetry());
+  for (const auto& addr : cluster.all_procs()) {
+    auto& core = cluster.core(addr);
+    char buf[200];
+    std::snprintf(buf, sizeof buf,
+                  "core %zu.%zu hz=%.17g instr=%.17g cycles=%.17g\n",
+                  addr.node, addr.cpu, core.frequency_hz(),
+                  core.instructions_retired(), core.read_counters().cycles);
+    bytes += buf;
+  }
+  EXPECT_EQ(fnv1a64_hex(bytes), c.digest);
+  EXPECT_NE(bytes.find(c.marker), std::string::npos) << c.marker;
+}
+
+/// Every transport-level channel fault, hitting every hop.
+std::vector<sim::FaultSpec> channel_chaos() {
+  using sim::FaultKind;
+  return {{FaultKind::kChannelLoss, 0.3, 1.2, -1, 0.3},
+          {FaultKind::kChannelReorder, 0.4, 1.7, -1, 0.3},
+          {FaultKind::kChannelDuplicate, 0.6, 1.8, -1, 0.2},
+          {FaultKind::kChannelDelaySpike, 0.7, 1.1, 2, 0.004},
+          {FaultKind::kChannelCorrupt, 1.0, 1.6, -1, 0.2}};
+}
+
+/// channel_chaos() plus a primary-root crash (the standby takes over), a
+/// crash of shard 1's leaf coordinator (target 2 + 1) and a node crash.
+std::vector<sim::FaultSpec> protocol_chaos() {
+  using sim::FaultKind;
+  std::vector<sim::FaultSpec> faults = channel_chaos();
+  faults.push_back({FaultKind::kCoordinatorCrash, 0.55, 1.45, 0, 0.0});
+  faults.push_back({FaultKind::kCoordinatorCrash, 1.6, 1.9, 3, 0.0});
+  faults.push_back({FaultKind::kNodeCrash, 0.8, 1.3, 7, 0.0});
+  return faults;
+}
+
+TEST(Golden, TreeDaemon) {
+  using cluster::TransportMode;
+  const GoldenCase cases[] = {
+      {.name = "fault-free budget drop", .digest = "dd2d519ace7ad310",
+       .marker = "\"trigger\":\"budget\""},
+      {.name = "datagram channel chaos", .digest = "fe47153506a59fdf",
+       .marker = "\"type\":\"message_corrupt\"",
+       .faults = channel_chaos()},
+      {.name = "reliable protocol chaos", .digest = "d24a91867993c674",
+       .marker = "\"type\":\"message_retransmit\"",
+       .transport = TransportMode::kReliable, .standby = true,
+       .failsafe_factor = 3.0, .faults = protocol_chaos()},
+      {.name = "reliable protocol chaos, topology journal",
+       .digest = "2a52f12f505f885e",
+       .marker = "\"stage\":\"shard_apply\"",
+       .transport = TransportMode::kReliable, .standby = true,
+       .failsafe_factor = 3.0, .journal_topology = true,
+       .faults = protocol_chaos()},
+  };
+  for (const GoldenCase& c : cases) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.name) + ", threads " +
+                   std::to_string(threads));
+      run_golden(c, threads);
+    }
+  }
+}
+
+// --- Monitor inputs ---------------------------------------------------------
+
+/// Alert transitions of one monitored 12-node tree run under the default
+/// rule pack.
+struct MonitoredRun {
+  /// (time, "raised" | "cleared") per transition of the named rule.
+  std::vector<std::pair<double, std::string>> transitions(
+      const std::string& rule) const {
+    std::vector<std::pair<double, std::string>> out;
+    for (const sim::Event& e : journal.events()) {
+      const bool raised = e.type == sim::EventType::kAlertRaised;
+      if (!raised && e.type != sim::EventType::kAlertCleared) continue;
+      const std::string* name = e.find_str("rule");
+      if (name && *name == rule) {
+        out.emplace_back(e.t, raised ? "raised" : "cleared");
+      }
+    }
+    return out;
+  }
+
+  sim::EventLog journal;
+  std::unique_ptr<sim::monitor::Monitor> monitor;
+};
+
+std::unique_ptr<MonitoredRun> run_monitored(
+    const std::vector<sim::FaultSpec>& faults,
+    cluster::TransportMode transport = cluster::TransportMode::kDatagram) {
+  auto run = std::make_unique<MonitoredRun>();
+  sim::monitor::Monitor::Options options;
+  options.journal = &run->journal;
+  run->monitor = std::make_unique<sim::monitor::Monitor>(
+      sim::monitor::RuleSet::parse_string(sim::monitor::default_rule_pack()),
+      options);
+  sim::Simulation sim;
+  sim::Rng rng(23);
+  const mach::MachineConfig machine = mach::p630();
+  cluster::Cluster cluster =
+      cluster::Cluster::homogeneous(sim, machine, 12, rng);
+  cluster.core({0, 0}).add_workload(
+      workload::make_uniform_synthetic(90.0, 1e12));
+  cluster.core({5, 1}).add_workload(
+      workload::make_uniform_synthetic(60.0, 1e12));
+  const double peak = static_cast<double>(cluster.cpu_count()) * 140.0;
+  power::PowerBudget budget(peak);
+  // Off the summary lattice: the budget-triggered round decides 43.7 ms
+  // after the summaries it reuses.
+  sim.schedule_at(0.9437, [&] { budget.set_limit_w(peak * 0.35); });
+  sim::FaultPlan plan(5);
+  for (const sim::FaultSpec& f : faults) plan.add(f);
+  core::TreeDaemonConfig cfg;
+  cfg.shards = 4;
+  cfg.journal = &run->journal;
+  cfg.monitor = run->monitor.get();
+  cfg.transport = transport;
+  if (!plan.empty()) cfg.fault_plan = &plan;
+  core::TreeDaemon daemon(sim, cluster, machine.freq_table, budget, cfg);
+  sim.run_for(3.0);
+  return run;
+}
+
+TEST(TreeMonitor, FaultFreeRunRaisesNoAggregationLag) {
+  // A grant lands 4 link hops (0.4 ms) after the summary instant it
+  // answers, and a budget-triggered one 2 hops after the budget change,
+  // far under the rule's 5 ms.
+  const auto run = run_monitored({});
+  EXPECT_TRUE(run->transitions("aggregation_lag").empty());
+  EXPECT_EQ(run->monitor->alerts_raised(), 0u);
+}
+
+TEST(TreeMonitor, DelaySpikeRaisesAggregationLagAndClearsAfter) {
+  // A 20 ms spike on every hop delays each grant by 40 ms on its way
+  // down: the lag alert must raise inside the window and clear after it.
+  const auto run = run_monitored(
+      {{sim::FaultKind::kChannelDelaySpike, 1.0, 1.5, -1, 0.020}});
+  const auto lag = run->transitions("aggregation_lag");
+  ASSERT_EQ(lag.size(), 2u);
+  EXPECT_EQ(lag[0].second, "raised");
+  EXPECT_GT(lag[0].first, 1.0);
+  EXPECT_LT(lag[0].first, 1.5);
+  EXPECT_EQ(lag[1].second, "cleared");
+  EXPECT_GT(lag[1].first, 1.5);
+}
+
+TEST(TreeMonitor, ChannelLossRaisesMessageLossAndRetransmitStorm) {
+  // The same plan makes the flat daemon raise both rules; the tree feeds
+  // the same inputs from its four hops' transports.
+  const auto run =
+      run_monitored({{sim::FaultKind::kChannelLoss, 0.3, 2.5, -1, 0.3}},
+                    cluster::TransportMode::kReliable);
+  const auto loss = run->transitions("message_loss");
+  ASSERT_FALSE(loss.empty());
+  EXPECT_EQ(loss.front().second, "raised");
+  EXPECT_FALSE(run->transitions("retransmit_storm").empty());
+}
+
+TEST(TreeMonitor, OverBudgetInputIsNeverNegative) {
+  // over_budget_w is max(0, draw - limit): a cluster well under its
+  // budget reads 0, so every quantile the --metrics-out snapshot exposes
+  // is non-negative.
+  const auto run = run_monitored({});
+  const sim::monitor::InputId id = run->monitor->input("over_budget_w");
+  ASSERT_GT(run->monitor->input_count(id), 0u);
+  for (std::size_t k = 0; k < run->monitor->sketch_quantiles().size(); ++k) {
+    EXPECT_GE(run->monitor->input_quantile(id, k), 0.0) << "quantile " << k;
+  }
+}
 
 // --- Protocol behavior ----------------------------------------------------
 
