@@ -11,13 +11,15 @@
 // `--smoke` skips google-benchmark entirely and runs the sim-throughput
 // regression gates instead: skip-ahead advance-call reduction, the SMP
 // daemon's event count, binary-vs-JSONL serialize throughput, the
-// monitor aggregators' per-observation cost, and two allocation pins (the
-// flat cluster daemon per round, a streamed journal per event).  The
-// counters are deterministic; the serialize and monitor gates are
-// same-process ratios (best of three passes), so machine load cancels out.
+// monitor aggregators' per-observation cost, and three allocation pins
+// (the flat cluster daemon per round, a streamed journal per event, event
+// dispatch per event).  The counters are deterministic; the serialize and
+// monitor gates are same-process ratios (best of three passes), so machine
+// load cancels out.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -634,15 +636,18 @@ int run_smoke() {
   // allocation rate, per node and round.  Each node agent's own summary
   // buffer and the shared grant snapshot (both reused once no in-flight
   // delivery holds them) and the into-buffer interval read keep the grant
-  // path itself off the heap; what remains per node and round is the
-  // summary and settings messages' closures through the transport and
-  // channel layers, ~16 allocations.  On 64 nodes these per-node terms
-  // dominate the round's fixed ones (event re-arms, the coordinator's
-  // cycle): the current code reads 16.13/node-round, and a build taking a
-  // fresh buffer for every summary and grant send reads 18.16 and fails.
+  // path itself off the heap, and the transport stores each message's
+  // deliver closure once and hands the simulation a closure that fits
+  // std::function's small buffer; what remains per node and round is the
+  // summary and settings deliver closures themselves, one allocation
+  // each.  On 64 nodes these per-node terms dominate the round's fixed
+  // ones (the coordinator's cycle): the current code reads
+  // 2.13/node-round, and a build that again copies each delivery closure
+  // into the retransmit slot, the channel and the event reads 16.13 and
+  // fails.
   {
     constexpr std::size_t kNodes = 64;
-    constexpr double kAllocsPerNodeRound = 17.0;
+    constexpr double kAllocsPerNodeRound = 3.0;
     sim::Simulation sim;
     sim::Rng rng(11);
     const mach::MachineConfig machine = mach::p630();
@@ -673,7 +678,7 @@ int run_smoke() {
     if (rounds == 0 || per_node_round > kAllocsPerNodeRound) {
       std::fprintf(stderr,
                    "smoke FAIL: cluster grant path allocates %.2f/node-round "
-                   "(budget %.1f) — per-send buffers are back\n",
+                   "(budget %.1f) — per-send buffers or closures are back\n",
                    per_node_round, kAllocsPerNodeRound);
       ++failures;
     }
@@ -715,6 +720,61 @@ int run_smoke() {
                    "smoke FAIL: streamed journal allocates %.3f/event "
                    "(budget 0.5) — payload recycling is gone\n",
                    per_event);
+      ++failures;
+    }
+  }
+
+  // Gate 7: event dispatch moves actions, never copies them.  Keys sift
+  // through the heap and each action stays in a recycled slot, so once the
+  // heap, the slot store and the free list have grown, one-shot events
+  // whose closures fit std::function's small buffer — and a periodic
+  // event re-arming in place — allocate nothing, and a closure too big for
+  // the buffer allocates once, when std::function stores it.  (Small
+  // closures copy without allocating, so it is the big ones' count that
+  // catches a dispatch loop copying actions again: it reads 2 per event.)
+  {
+    constexpr std::size_t kEvents = 100000;
+    sim::Simulation sim;
+    std::size_t fired = 0;
+    std::size_t ticks = 0;
+    sim.schedule_every(1e-3, [&ticks] { ++ticks; });
+    const std::array<double, 5> pad{};  // 48-byte capture: heap-stored
+    const auto batch = [&](bool big) {
+      for (std::size_t i = 0; i < 1000; ++i) {
+        const double delay = 1e-6 * static_cast<double>(i % 997);
+        if (big) {
+          sim.schedule_after(delay, [&fired, pad] {
+            benchmark::DoNotOptimize(pad.data());
+            ++fired;
+          });
+        } else {
+          sim.schedule_after(delay, [&fired] { ++fired; });
+        }
+      }
+      sim.run_for(1e-3);
+    };
+    batch(false);  // warm-up
+    const std::size_t fired_before = fired;
+    const std::size_t ticks_before = ticks;
+    std::size_t allocs[2] = {0, 0};  // small, big
+    for (const bool big : {false, true}) {
+      const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+      for (std::size_t round = 0; round < kEvents / 1000; ++round) batch(big);
+      allocs[big] = g_allocs.load(std::memory_order_relaxed) - before;
+    }
+    const std::size_t fired_now = fired - fired_before;
+    const std::size_t ticks_now = ticks - ticks_before;
+    std::printf("smoke: event dispatch: %zu allocs over %zu small-closure "
+                "events and %zu periodic re-arms, %zu over %zu big-closure "
+                "events\n",
+                allocs[0], kEvents, ticks_now, allocs[1], kEvents);
+    if (fired_now != 2 * kEvents || ticks_now == 0 || allocs[0] != 0 ||
+        allocs[1] != kEvents) {
+      std::fprintf(stderr,
+                   "smoke FAIL: event dispatch allocates %zu/%zu time(s) "
+                   "over %zu small/big-closure events (budget 0/%zu) — "
+                   "actions are copied again\n",
+                   allocs[0], allocs[1], kEvents, kEvents);
       ++failures;
     }
   }

@@ -168,7 +168,10 @@ grep -q '<svg' "${smoke_dir}/monitor.html"
 # exercise the engine's fault paths, the chaos harness, and the JSONL
 # reader fuzzers — the code most likely to hide memory or UB mistakes —
 # plus the cluster, scheduler and flat-daemon suites: every Core holds a
-# raw pointer into the power ledger its Cluster owns.
+# raw pointer into the power ledger its Cluster owns.  The event-queue
+# suite runs here too: it recycles action slots and lets a periodic action
+# cancel itself while it runs in place; so does the journal-checker suite,
+# whose per-id state grows as hand-made journals name ids.
 # FVSST_CHAOS_ITERATIONS is dialled down: sanitized builds are ~5x slower
 # and the full sweep already ran unsanitized above.
 asan_dir="${build_dir}-asan"
@@ -176,13 +179,14 @@ cmake -S "${repo_root}" -B "${asan_dir}" "${generator[@]}" \
   -DFVSST_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${asan_dir}" -j "$(nproc)" --target \
   test_chaos test_scheduler_properties test_optimal_policies \
-  test_event_log test_control_loop test_transport \
+  test_event_queue test_event_log test_journal_checker test_control_loop \
+  test_transport \
   test_determinism test_failover test_event_mode test_binary_journal \
   test_shard test_summary_tree test_tree_daemon \
   test_cluster test_scheduler test_scheduler_hetero test_cluster_daemon \
   bench_abl_failover bench_abl_transport fvsst_sim fvsst_inspect
 FVSST_CHAOS_ITERATIONS=8 ctest --test-dir "${asan_dir}" --output-on-failure \
-  -R 'chaos|scheduler_properties|optimal_policies|event_log|control_loop|determinism|failover|cli_fault_plan|event_mode|binary_journal|transport|^test_shard$|summary_tree|tree_daemon|cli_topology|^test_cluster$|^test_scheduler$|^test_scheduler_hetero$|^test_cluster_daemon$'
+  -R 'chaos|scheduler_properties|optimal_policies|^test_event_queue$|event_log|^test_journal_checker$|control_loop|determinism|failover|cli_fault_plan|event_mode|binary_journal|transport|^test_shard$|summary_tree|tree_daemon|cli_topology|^test_cluster$|^test_scheduler$|^test_scheduler_hetero$|^test_cluster_daemon$'
 
 # Thread-sanitizer gate: rebuild with TSan and run the parallel-stepper
 # suite, the transport suite (its determinism test drives the reliable

@@ -2,13 +2,11 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace fvsst::cluster {
 
-Channel::Channel(sim::Simulation& sim, double latency_s, double jitter_s,
-                 sim::Rng rng)
-    : sim_(sim), latency_s_(latency_s), jitter_s_(jitter_s), rng_(rng) {
+Channel::Channel(double latency_s, double jitter_s, sim::Rng rng)
+    : latency_s_(latency_s), jitter_s_(jitter_s), rng_(rng) {
   if (latency_s < 0.0 || jitter_s < 0.0) {
     throw std::invalid_argument("Channel: negative latency/jitter");
   }
@@ -25,26 +23,16 @@ void Channel::set_loss_probability(double p) {
   loss_probability_ = p;
 }
 
-bool Channel::send(std::function<void()> handler) {
-  return send_delayed(0.0, std::move(handler));
-}
-
-bool Channel::send_delayed(double extra_delay_s,
-                           std::function<void()> handler) {
+std::optional<double> Channel::transit(double extra_delay_s) {
   if (!(extra_delay_s >= 0.0)) {
     throw std::invalid_argument("Channel: negative extra delay");
   }
   if (loss_probability_ > 0.0 && rng_.bernoulli(loss_probability_)) {
     ++dropped_;
-    return false;
+    return std::nullopt;
   }
-  const double delay = extra_delay_s + latency_s_ +
-                       (jitter_s_ > 0.0 ? rng_.uniform(0.0, jitter_s_) : 0.0);
-  sim_.schedule_after(delay, [this, h = std::move(handler)] {
-    ++delivered_;
-    h();
-  });
-  return true;
+  return extra_delay_s + latency_s_ +
+         (jitter_s_ > 0.0 ? rng_.uniform(0.0, jitter_s_) : 0.0);
 }
 
 }  // namespace fvsst::cluster

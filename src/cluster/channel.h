@@ -13,9 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 
-#include "simkit/event_queue.h"
 #include "simkit/rng.h"
 
 namespace fvsst::cluster {
@@ -36,21 +35,21 @@ class Channel {
  public:
   /// `latency_s` is the mean one-way delay; `jitter_s` adds a uniform
   /// [0, jitter_s) component per message.
-  Channel(sim::Simulation& sim, double latency_s, double jitter_s = 0.0,
-          sim::Rng rng = sim::Rng(0x7a3d));
+  explicit Channel(double latency_s, double jitter_s = 0.0,
+                   sim::Rng rng = sim::Rng(0x7a3d));
 
-  /// Delivers `handler` after the channel delay.  The payload is carried
-  /// inside the closure; this keeps the channel type-agnostic.  Lost
-  /// messages (see set_loss_probability) are dropped as on a real
-  /// unreliable datagram path; returns false for a drop so the sender
-  /// (cluster::Transport) can account and journal the loss.
-  bool send(std::function<void()> handler);
+  /// One message's trip: a loss draw (on a lossy channel), then a jitter
+  /// draw (on a jittered one).  Returns the one-way delay — `extra_delay_s`
+  /// (>= 0) plus latency plus jitter — or nullopt when the channel drops
+  /// the message, as a real unreliable datagram path would (counted in
+  /// dropped()).  The caller schedules the delivery and calls arrived()
+  /// when it runs.  `extra_delay_s` is the transport layer's hook for
+  /// fault-injected delay spikes and reordering and draws nothing, so a
+  /// zero extra delay is indistinguishable from none.
+  std::optional<double> transit(double extra_delay_s = 0.0);
 
-  /// As send(), with `extra_delay_s` (>= 0) added on top of the
-  /// latency+jitter draw — the transport layer's hook for fault-injected
-  /// delay spikes and reordering.  Consumes exactly the randomness of
-  /// send(), so a zero extra delay is indistinguishable from it.
-  bool send_delayed(double extra_delay_s, std::function<void()> handler);
+  /// Counts one message whose delivery ran (see delivered()).
+  void arrived() { ++delivered_; }
 
   /// Fraction of messages dropped, in [0, 1).  The periodic scheduling
   /// rounds make the cluster protocol naturally loss-tolerant; tests and
@@ -70,7 +69,6 @@ class Channel {
   std::size_t dropped() const { return dropped_; }
 
  private:
-  sim::Simulation& sim_;
   double latency_s_;
   double jitter_s_;
   double loss_probability_ = 0.0;

@@ -1,6 +1,7 @@
 #include "cluster/transport.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -12,21 +13,32 @@ namespace {
 // be a no-op corruption).
 constexpr std::uint64_t kCorruptMask = 0x5a5a5a5a5a5a5a5aull;
 
+/// An index into `store` to reuse: a freed one if any, else a new entry.
+template <typename Store>
+std::uint32_t acquire(Store& store, std::vector<std::uint32_t>& free) {
+  if (free.empty()) {
+    store.emplace_back();
+    return static_cast<std::uint32_t>(store.size() - 1);
+  }
+  const std::uint32_t index = free.back();
+  free.pop_back();
+  return index;
+}
+
 }  // namespace
 
 std::uint64_t frame_checksum(const Frame& frame) {
+  // One FNV-1a xor-multiply per 64-bit field: each step is a bijection of
+  // the running hash, so damage to any single field always shows.
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;  // FNV-1a prime
-    }
-  };
-  mix(frame.envelope.epoch);
-  mix(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(frame.envelope.sender)));
-  mix(frame.seq);
-  mix(frame.ack);
+  for (const std::uint64_t v :
+       {frame.envelope.epoch,
+        static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(frame.envelope.sender)),
+        frame.seq, frame.ack}) {
+    h ^= v;
+    h *= 1099511628211ull;  // FNV-1a prime
+  }
   return h;
 }
 
@@ -72,6 +84,10 @@ Transport::~Transport() {
 
 bool Transport::send(int node, const Envelope& envelope, std::uint64_t ack,
                      bool track, std::function<void(const Frame&)> deliver) {
+  // The send holds one reference to its record until it returns.
+  const std::uint32_t message = acquire(messages_, free_messages_);
+  messages_[message].deliver = std::move(deliver);
+  messages_[message].refs = 1;
   Frame frame;
   frame.envelope = envelope;
   frame.ack = ack;
@@ -79,10 +95,10 @@ bool Transport::send(int node, const Envelope& envelope, std::uint64_t ack,
     // Heartbeat broadcast: no per-node session and no fault shim — a
     // node-targeted fault window (target -1 matches every query) must not
     // be able to damage cluster-wide liveness signalling.
-    Frame wire = frame;
-    wire.checksum = frame_checksum(wire);
-    return put(node, 0.0,
-               [deliver = std::move(deliver), wire] { deliver(wire); });
+    frame.checksum = frame_checksum(frame);
+    const bool sent = put(node, 0.0, message, frame);
+    release(message);
+    return sent;
   }
   if (reliable()) {
     frame.seq = ++next_seq_[static_cast<std::size_t>(node)];
@@ -93,26 +109,27 @@ bool Transport::send(int node, const Envelope& envelope, std::uint64_t ack,
       // from a deposed epoch must not clobber a fresher leader's slot —
       // it goes out untracked and the node's fence rejects it anyway.
       if (!p.active || envelope.epoch >= p.envelope.epoch) {
+        if (p.active) release(p.message);
         p.active = true;
         p.envelope = envelope;
         p.seq = frame.seq;
         p.attempts = 0;
         p.sent_t = sim_.now();
         p.retry_t = sim_.now() + opts_.rto_s;
-        p.deliver = deliver;
+        p.message = message;
+        ++messages_[message].refs;
       }
     }
   }
-  return transmit(node, frame, deliver);
+  const bool sent = transmit(node, frame, message);
+  release(message);
+  return sent;
 }
 
-bool Transport::transmit(int node, const Frame& frame,
-                         const std::function<void(const Frame&)>& deliver) {
+bool Transport::transmit(int node, const Frame& frame, std::uint32_t message) {
   Frame wire = frame;
   wire.checksum = frame_checksum(wire);
-  if (faults_ == nullptr) {
-    return put(node, 0.0, [deliver, wire] { deliver(wire); });
-  }
+  if (faults_ == nullptr) return put(node, 0.0, message, wire);
   const double now = sim_.now();
   using sim::FaultKind;
   if (const auto* loss = faults_->active(FaultKind::kChannelLoss, node, now)) {
@@ -140,22 +157,43 @@ bool Transport::transmit(int node, const Frame& frame,
       wire.checksum ^= kCorruptMask;
     }
   }
-  const bool sent = put(node, extra, [deliver, wire] { deliver(wire); });
+  const bool sent = put(node, extra, message, wire);
   if (const auto* dup =
           faults_->active(FaultKind::kChannelDuplicate, node, now)) {
     if (faults_->chance(FaultKind::kChannelDuplicate, node, now, dup->value)) {
-      put(node, extra + duplicate_delay_s_,
-          [deliver, wire] { deliver(wire); });
+      put(node, extra + duplicate_delay_s_, message, wire);
     }
   }
   return sent;
 }
 
-bool Transport::put(int node, double extra_delay_s,
-                    std::function<void()> handler) {
-  if (channel_.send_delayed(extra_delay_s, std::move(handler))) return true;
-  lost(node, "channel");
-  return false;
+bool Transport::put(int node, double extra_delay_s, std::uint32_t message,
+                    const Frame& wire) {
+  const std::optional<double> delay = channel_.transit(extra_delay_s);
+  if (!delay) {
+    lost(node, "channel");
+    return false;
+  }
+  const std::uint32_t flight = acquire(flights_, free_flights_);
+  flights_[flight] = {message, wire};
+  ++messages_[message].refs;
+  sim_.schedule_after(*delay, [this, flight] { arrive(flight); });
+  return true;
+}
+
+void Transport::arrive(std::uint32_t flight) {
+  channel_.arrived();
+  const Flight f = flights_[flight];
+  free_flights_.push_back(flight);
+  messages_[f.message].deliver(f.wire);
+  release(f.message);
+}
+
+void Transport::release(std::uint32_t message) {
+  Message& m = messages_[message];
+  if (--m.refs > 0) return;
+  m.deliver = nullptr;
+  free_messages_.push_back(message);
 }
 
 void Transport::lost(int node, const char* cause) {
@@ -239,7 +277,7 @@ void Transport::on_ack(int node, Epoch epoch, std::uint64_t seq) {
                                          // recovery still applies
   if (seq >= p.seq) {
     p.active = false;
-    p.deliver = nullptr;
+    release(p.message);
     return;
   }
   // The node acked an older seq after our frame had time to land: the
@@ -304,7 +342,7 @@ void Transport::maybe_retransmit(int node) {
   double scale = 1.0;
   for (int k = 0; k < p.attempts; ++k) scale *= kBackoffBase;
   p.retry_t = sim_.now() + opts_.rto_s * scale;
-  transmit(node, frame, p.deliver);
+  transmit(node, frame, p.message);
 }
 
 void Transport::expire(int node, const char* cause) {
@@ -320,7 +358,7 @@ void Transport::expire(int node, const char* cause) {
         .set("direction", std::string(direction_));
   }
   p.active = false;
-  p.deliver = nullptr;
+  release(p.message);
 }
 
 bool Transport::budget_allows() {

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -109,7 +110,9 @@ class Transport {
   /// session tables.  `journal` (may be null) receives the message events
   /// this transport writes.  In reliable mode a repeating pump event is
   /// scheduled on `sim` to drive retransmit timers; datagram mode
-  /// schedules nothing.
+  /// schedules nothing.  A frame in flight is a `sim` event that calls
+  /// back into this transport, so `sim` must not run on after the
+  /// transport is destroyed.
   Transport(sim::Simulation& sim, Channel& channel,
             const sim::FaultPlan* faults, const TransportOptions& options,
             std::size_t nodes, std::size_t coordinators, const char* direction,
@@ -128,9 +131,11 @@ class Transport {
   /// pending slot for ack-or-retransmit (one slot per node — a newer
   /// tracked send supersedes the old frame, which cumulative acks make
   /// safe).  node -1 (heartbeat broadcast) bypasses both shim and
-  /// sequencing.  Returns false when the shim or channel dropped the
-  /// frame, which is journalled as message_lost with cause "fault" or
-  /// "channel" (tracked frames still retransmit later).
+  /// sequencing.  `deliver` is stored once and runs on every copy of the
+  /// frame that arrives (retransmissions and fault duplicates included),
+  /// so it must not consume its captures.  Returns false when the shim or
+  /// channel dropped the frame, which is journalled as message_lost with
+  /// cause "fault" or "channel" (tracked frames still retransmit later).
   bool send(int node, const Envelope& envelope, std::uint64_t ack, bool track,
             std::function<void(const Frame&)> deliver);
 
@@ -184,6 +189,19 @@ class Transport {
   std::size_t duplicates_suppressed() const { return duplicates_; }
 
  private:
+  /// One send's deliver closure, stored once: the pending slot, the first
+  /// transmission, every retransmission and every fault duplicate share
+  /// it by index.  Records live in a deque (a closure runs in place while
+  /// the transport grows) and recycle once no holder is left.
+  struct Message {
+    std::function<void(const Frame&)> deliver;
+    std::uint32_t refs = 0;  ///< Pending slot + frames in flight.
+  };
+  /// A frame in flight: what the channel carries to the receiver.
+  struct Flight {
+    std::uint32_t message = 0;
+    Frame wire;
+  };
   struct Pending {
     bool active = false;
     Envelope envelope;
@@ -191,7 +209,7 @@ class Transport {
     int attempts = 0;        ///< Retransmissions performed so far.
     double sent_t = 0.0;     ///< Time of the most recent (re)send.
     double retry_t = 0.0;    ///< Next timer-driven retry deadline.
-    std::function<void(const Frame&)> deliver;
+    std::uint32_t message = 0;  ///< Held while active.
   };
   struct NodeSession {
     Epoch epoch = 0;
@@ -200,10 +218,14 @@ class Transport {
 
   /// Pushes one frame through the fault shim and channel (shared by
   /// first transmission and retransmission).  Returns false on drop.
-  bool transmit(int node, const Frame& frame,
-                const std::function<void(const Frame&)>& deliver);
-  /// Hands one frame's delivery to the channel; a channel drop is lost().
-  bool put(int node, double extra_delay_s, std::function<void()> handler);
+  bool transmit(int node, const Frame& frame, std::uint32_t message);
+  /// Hands one frame of `message` to the channel; a channel drop is
+  /// lost().  What the simulation schedules is (this, flight index).
+  bool put(int node, double extra_delay_s, std::uint32_t message,
+           const Frame& wire);
+  /// A frame's delivery: runs its message's closure on the wire frame.
+  void arrive(std::uint32_t flight);
+  void release(std::uint32_t message);  ///< Drops one reference.
   void pump();
   void maybe_retransmit(int node);
   void expire(int node, const char* cause);
@@ -221,6 +243,10 @@ class Transport {
   /// flight this long, 2 (latency + jitter): the ack may predate it.
   double min_ack_flight_s_;
 
+  std::deque<Message> messages_;
+  std::vector<std::uint32_t> free_messages_;
+  std::vector<Flight> flights_;
+  std::vector<std::uint32_t> free_flights_;
   std::vector<std::uint64_t> next_seq_;   ///< Per-node send counters.
   std::vector<Pending> pending_;          ///< Per-node retransmit slots.
   std::vector<NodeSession> node_rx_;      ///< Node-side dedup + ack state.

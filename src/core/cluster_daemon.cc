@@ -59,9 +59,9 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
       cluster_(cluster),
       budget_(budget),
       config_(config),
-      up_channel_(sim, config.channel_latency_s, config.channel_jitter_s,
+      up_channel_(config.channel_latency_s, config.channel_jitter_s,
                   sim::Rng(0xc1a0)),
-      down_channel_(sim, config.channel_latency_s, config.channel_jitter_s,
+      down_channel_(config.channel_latency_s, config.channel_jitter_s,
                     sim::Rng(0xc1a1)),
       default_table_(table) {
   // Per-processor tables: each node's own operating points, so mixed

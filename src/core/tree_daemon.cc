@@ -41,10 +41,10 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
                               ? config_.shards
                               : cluster::ShardMap::auto_shards(
                                     cluster.node_count())),
-      up_leaf_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e01)),
-      up_root_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e02)),
-      down_root_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e03)),
-      down_leaf_channel_(sim, kTreeLinkLatencyS, 0.0, sim::Rng(0x7e04)) {
+      up_leaf_channel_(kTreeLinkLatencyS, 0.0, sim::Rng(0x7e01)),
+      up_root_channel_(kTreeLinkLatencyS, 0.0, sim::Rng(0x7e02)),
+      down_root_channel_(kTreeLinkLatencyS, 0.0, sim::Rng(0x7e03)),
+      down_leaf_channel_(kTreeLinkLatencyS, 0.0, sim::Rng(0x7e04)) {
   if (table_.size() == 0) {
     throw std::invalid_argument("TreeDaemon: empty operating-point table");
   }
@@ -536,8 +536,8 @@ void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
                             const cluster::Frame& frame) {
   const double now = sim_.now();
   if (down_leaf_->corrupt(static_cast<int>(leaf_id), frame)) return;
-  if (leaf_down(leaf_id, now)) {
-    down_leaf_->lost(static_cast<int>(leaf_id), "fault");
+  if (const char* cause = leaf_down(leaf_id, now)) {
+    down_leaf_->lost(static_cast<int>(leaf_id), cause);
     return;
   }
   if (down_leaf_->receive_at_node(static_cast<int>(leaf_id), frame) !=
@@ -625,13 +625,18 @@ void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
 // Protocol helpers
 // --------------------------------------------------------------------------
 
-bool TreeDaemon::leaf_down(std::size_t leaf, double now) const {
-  if (!config_.fault_plan) return false;
+const char* TreeDaemon::leaf_down(std::size_t leaf, double now) const {
+  if (!config_.fault_plan) return nullptr;
   const int target = kLeafCoordinatorBase + static_cast<int>(leaf);
-  return config_.fault_plan->active(sim::FaultKind::kCoordinatorCrash, target,
-                                    now) != nullptr ||
-         config_.fault_plan->active(sim::FaultKind::kPartition, target,
-                                    now) != nullptr;
+  if (config_.fault_plan->active(sim::FaultKind::kCoordinatorCrash, target,
+                                 now) != nullptr) {
+    return "coordinator_crash";
+  }
+  if (config_.fault_plan->active(sim::FaultKind::kPartition, target, now) !=
+      nullptr) {
+    return "partition";
+  }
+  return nullptr;
 }
 
 bool TreeDaemon::node_crashed(std::size_t node, double now) const {

@@ -181,7 +181,10 @@ class TreeDaemon {
                   const cluster::Frame& frame);
 
   // --- Protocol helpers -------------------------------------------------
-  bool leaf_down(std::size_t leaf, double now) const;
+  /// Why `leaf`'s coordinator is down at `now` — "coordinator_crash" or
+  /// "partition", crash first as the flat daemon checks — or nullptr
+  /// while it is up.
+  const char* leaf_down(std::size_t leaf, double now) const;
   bool node_crashed(std::size_t node, double now) const;
   bool root_down(const RootState& root, double now) const;
   void maybe_take_over(double now);

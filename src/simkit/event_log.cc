@@ -9,7 +9,6 @@
 #include <cstring>
 #include <istream>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 
@@ -1025,14 +1024,48 @@ void write_chrome_trace(std::ostream& out, const EventLog& log) {
 
 namespace {
 
-std::string at_time(double t) {
+/// Shortest round-trip spelling of `v` ("1e+300", "0.5").
+std::string shortest(double v) {
   char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, t);
-  return " at t=" + std::string(buf, res.ptr) + "s";
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
 }
+
+std::string at_time(double t) { return " at t=" + shortest(t) + "s"; }
 
 constexpr double kPowerTolW = 1e-6;
 constexpr double kVoltTol = 1e-9;
+
+/// A numeric field as num_or reads it: the first occurrence, if any.
+struct NumField {
+  double value = 0.0;
+  bool present = false;
+  double value_or(double fallback) const { return present ? value : fallback; }
+};
+
+/// Reads N numeric fields of `e` in one pass over its payload.
+template <std::size_t N>
+std::array<NumField, N> read_nums(const Event& e,
+                                  const std::string_view (&keys)[N]) {
+  std::array<NumField, N> out{};
+  for (const auto& [key, value] : e.num) {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (!out[i].present && key == keys[i]) {
+        out[i] = {value, true};
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// First point of a hz-sorted table at or above `hz`.
+template <typename Table>
+auto point_at_or_above(Table& table, double hz) {
+  return std::lower_bound(
+      table.begin(), table.end(), hz,
+      [](const auto& point, double h) { return point.hz < h; });
+}
 
 }  // namespace
 
@@ -1062,29 +1095,38 @@ void JournalChecker::observe(const Event& e) {
       if (e.t > last_disturb_t_) last_disturb_t_ = e.t;
       return;
 
-    case EventType::kTablePoint:
-      tables_[e.cpu][e.num_or("hz")] = e.num_or("volts");
+    case EventType::kTablePoint: {
+      any_table_ = true;
+      std::vector<TablePoint>& table = tables_[e.cpu];
+      const auto [hz, volts] = read_nums(e, {"hz", "volts"});
+      const auto it = point_at_or_above(table, hz.value);
+      if (it != table.end() && it->hz == hz.value) {
+        it->volts = volts.value;  // a repeated point overwrites
+      } else {
+        table.insert(it, {hz.value, volts.value});
+      }
       return;
+    }
 
     case EventType::kDecision: {
       // 2. Voltage is the table minimum for every granted frequency.
-      const auto table_it = tables_.find(e.cpu);
-      if (table_it == tables_.end()) return;
+      const std::vector<TablePoint>* table = tables_.find(e.cpu);
+      if (table == nullptr || table->empty()) return;
       ++checks_run_;
-      const double hz = e.num_or("granted_hz");
-      const auto point_it = table_it->second.find(hz);
-      if (point_it == table_it->second.end()) {
+      const auto [hz, volts] = read_nums(e, {"granted_hz", "volts"});
+      const auto point = point_at_or_above(*table, hz.value);
+      if (point == table->end() || point->hz != hz.value) {
         voltage_violations_.push_back(
             "cpu" + std::to_string(e.cpu) + " granted " +
-            std::to_string(hz / 1e6) + " MHz" + at_time(e.t) +
+            std::to_string(hz.value / 1e6) + " MHz" + at_time(e.t) +
             ", not an operating point of its table");
         return;
       }
-      const double table_volts = point_it->second;
-      if (std::abs(e.num_or("volts") - table_volts) > kVoltTol) {
+      const double table_volts = point->volts;
+      if (std::abs(volts.value - table_volts) > kVoltTol) {
         voltage_violations_.push_back(
             "cpu" + std::to_string(e.cpu) + at_time(e.t) + ": voltage " +
-            std::to_string(e.num_or("volts")) + " V is not the table minimum " +
+            std::to_string(volts.value) + " V is not the table minimum " +
             std::to_string(table_volts) + " V for its granted frequency");
       }
       return;
@@ -1161,88 +1203,103 @@ void JournalChecker::observe(const Event& e) {
         }
         return;
       }
-      if (*stage != "node_apply") return;
-      // 4. Per-node applied epochs never regress and never come from an
-      //    unannounced epoch.
-      if (e.has_num("epoch")) {
-        any_epoch_data_ = true;
-        ++checks_run_;
-        const double epoch = e.num_or("epoch");
-        const int node = static_cast<int>(e.num_or("node", -1.0));
-        auto [it, inserted] = node_epoch_.try_emplace(node, epoch);
-        if (!inserted) {
-          if (epoch < it->second) {
-            epoch_violations_.push_back(
-                "node" + std::to_string(node) + at_time(e.t) +
-                " applied settings from deposed epoch " +
-                std::to_string(epoch) + " after epoch " +
-                std::to_string(it->second));
-          }
-          it->second = std::max(it->second, epoch);
-        }
-        if (saw_announcement_ && epoch > max_announced_) {
-          epoch_violations_.push_back(
-              "node" + std::to_string(node) + at_time(e.t) +
-              " applied settings from unannounced epoch " +
-              std::to_string(epoch) + " (highest announced: " +
-              std::to_string(max_announced_) + ")");
-        }
-      }
-      // 6. Monotone applied sequence per (node, epoch): the reliable
-      //    transport's effectively-once guarantee — a duplicate or stale
-      //    reordered settings message must never be applied.
-      if (e.has_num("seq") && e.has_num("epoch")) {
-        ++checks_run_;
-        const int node = static_cast<int>(e.num_or("node", -1.0));
-        const double epoch = e.num_or("epoch");
-        const double seq = e.num_or("seq");
-        auto [it, inserted] =
-            node_seq_.try_emplace(node, std::make_pair(epoch, seq));
-        if (!inserted) {
-          if (epoch == it->second.first && seq <= it->second.second) {
-            transport_violations_.push_back(
-                "node" + std::to_string(node) + at_time(e.t) +
-                " applied seq " + std::to_string(seq) +
-                " at or below the already-applied seq " +
-                std::to_string(it->second.second) + " in epoch " +
-                std::to_string(epoch) + " (duplicate or stale apply)");
-          }
-          if (epoch > it->second.first ||
-              (epoch == it->second.first && seq > it->second.second)) {
-            it->second = {epoch, seq};
-          }
-        }
-      }
-      // 6. Convergence bookkeeping: remember each node's earliest apply
-      //    after the latest disturbance seen so far.
-      {
-        const int node = static_cast<int>(e.num_or("node", -1.0));
-        auto [it, inserted] = node_apply_after_.try_emplace(node, e.t);
-        if (!inserted && it->second < last_disturb_t_) it->second = e.t;
-      }
-      // 5. The open window closes on the first node_apply past the
-      //    deadline (violation) or the first one back under the limit.
-      if (window_open_) {
-        if (e.t > window_deadline_) {
-          ++checks_run_;
-          failover_violations_.push_back(
-              "cluster still over the " + std::to_string(window_budget_) +
-              " W budget " + std::to_string(meta_failover_window_) +
-              "s after the drop" + at_time(window_t_) +
-              " (failover window missed)");
-          window_open_ = false;
-        } else if (e.num_or("cluster_power_w",
-                            std::numeric_limits<double>::max()) <=
-                   window_budget_ + kPowerTolW) {
-          ++checks_run_;
-          window_open_ = false;
-        }
-      }
+      if (*stage == "node_apply") observe_node_apply(e);
       return;
     }
 
     default:
       return;
+  }
+}
+
+void JournalChecker::observe_node_apply(const Event& e) {
+  const auto [node_field, epoch, seq, cluster_power] =
+      read_nums(e, {"node", "epoch", "seq", "cluster_power_w"});
+  const double node_id = node_field.value_or(-1.0);
+  if (node_id >= -1.0 && node_id <= std::numeric_limits<int>::max() &&
+      node_id == std::floor(node_id)) {
+    const int node = static_cast<int>(node_id);
+    NodeState& state = nodes_[node];
+    // 4. Per-node applied epochs never regress and never come from an
+    //    unannounced epoch.
+    if (epoch.present) {
+      any_epoch_data_ = true;
+      ++checks_run_;
+      if (!state.has_epoch) {
+        state.has_epoch = true;
+        state.epoch = epoch.value;
+      } else {
+        if (epoch.value < state.epoch) {
+          epoch_violations_.push_back(
+              "node" + std::to_string(node) + at_time(e.t) +
+              " applied settings from deposed epoch " +
+              std::to_string(epoch.value) + " after epoch " +
+              std::to_string(state.epoch));
+        }
+        state.epoch = std::max(state.epoch, epoch.value);
+      }
+      if (saw_announcement_ && epoch.value > max_announced_) {
+        epoch_violations_.push_back(
+            "node" + std::to_string(node) + at_time(e.t) +
+            " applied settings from unannounced epoch " +
+            std::to_string(epoch.value) + " (highest announced: " +
+            std::to_string(max_announced_) + ")");
+      }
+    }
+    // 6. Monotone applied sequence per (node, epoch): the reliable
+    //    transport's effectively-once guarantee — a duplicate or stale
+    //    reordered settings message must never be applied.
+    if (seq.present && epoch.present) {
+      ++checks_run_;
+      if (!state.has_seq) {
+        state.has_seq = true;
+        state.seq_epoch = epoch.value;
+        state.seq = seq.value;
+      } else {
+        if (epoch.value == state.seq_epoch && seq.value <= state.seq) {
+          transport_violations_.push_back(
+              "node" + std::to_string(node) + at_time(e.t) +
+              " applied seq " + std::to_string(seq.value) +
+              " at or below the already-applied seq " +
+              std::to_string(state.seq) + " in epoch " +
+              std::to_string(epoch.value) + " (duplicate or stale apply)");
+        }
+        if (epoch.value > state.seq_epoch ||
+            (epoch.value == state.seq_epoch && seq.value > state.seq)) {
+          state.seq_epoch = epoch.value;
+          state.seq = seq.value;
+        }
+      }
+    }
+    // 6. Convergence bookkeeping: remember each node's earliest apply
+    //    after the latest disturbance seen so far.
+    if (!state.has_apply) {
+      state.has_apply = true;
+      state.apply_t = e.t;
+    } else if (state.apply_t < last_disturb_t_) {
+      state.apply_t = e.t;
+    }
+  } else {
+    node_id_violations_.push_back(
+        "node_apply" + at_time(e.t) + " names node " + shortest(node_id) +
+        ", not an integer node id in [-1, 2147483647]");
+  }
+  // 5. The open window closes on the first node_apply past the deadline
+  //    (violation) or the first one back under the limit.
+  if (window_open_) {
+    if (e.t > window_deadline_) {
+      ++checks_run_;
+      failover_violations_.push_back(
+          "cluster still over the " + std::to_string(window_budget_) +
+          " W budget " + std::to_string(meta_failover_window_) +
+          "s after the drop" + at_time(window_t_) +
+          " (failover window missed)");
+      window_open_ = false;
+    } else if (cluster_power.value_or(std::numeric_limits<double>::max()) <=
+               window_budget_ + kPowerTolW) {
+      ++checks_run_;
+      window_open_ = false;
+    }
   }
 }
 
@@ -1272,7 +1329,7 @@ JournalCheckReport JournalChecker::finish() {
   }
 
   // Skips and violations keep check_journal's historical 1..5 ordering.
-  if (tables_.empty()) {
+  if (!any_table_) {
     report.skipped.push_back(
         "voltage-table check: no table_point events in journal");
   }
@@ -1311,9 +1368,9 @@ JournalCheckReport JournalChecker::finish() {
     } else {
       for (int n = 0; n < static_cast<int>(meta_nodes_); ++n) {
         ++report.checks_run;
-        const auto it = node_apply_after_.find(n);
+        const NodeState* state = nodes_.find(n);
         const double applied =
-            it == node_apply_after_.end() ? -1.0 : it->second;
+            state != nullptr && state->has_apply ? state->apply_t : -1.0;
         if (applied < last_disturb_t_ || applied > deadline) {
           transport_violations_.push_back(
               "node" + std::to_string(n) +
@@ -1336,6 +1393,7 @@ JournalCheckReport JournalChecker::finish() {
   take(epoch_violations_);
   take(failover_violations_);
   take(transport_violations_);
+  take(node_id_violations_);
   return report;
 }
 

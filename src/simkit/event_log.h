@@ -33,11 +33,11 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -404,23 +404,73 @@ struct JournalCheckReport {
 /// then collect the report (finish).  State is O(1) in the journal length
 /// — the operating-point tables, a few per-node epoch scalars and the one
 /// open failover window — so multi-GB journals check in bounded memory
-/// (pair with for_each_jsonl).  The checks and their report wording are
-/// exactly check_journal's; the only caveat of the single pass is that
-/// events are judged against the metadata seen *so far*: a journal whose
-/// run_meta or table_point events trailed the decisions they govern would
-/// skip those early events, which no writer in this repo produces.
+/// (pair with for_each_jsonl), and each event costs O(1): per-node state
+/// and per-CPU tables are arrays indexed by id.  The checks and their
+/// report wording are exactly check_journal's; the only caveat of the
+/// single pass is that events are judged against the metadata seen *so
+/// far*: a journal whose run_meta or table_point events trailed the
+/// decisions they govern would skip those early events, which no writer in
+/// this repo produces.
 class JournalChecker {
  public:
   void observe(const Event& e);
   JournalCheckReport finish();
 
  private:
+  /// State per id a journal names (a node or a CPU), default-constructed
+  /// until first touched: a flat array over [-1, kDenseIds), every node
+  /// and CPU id of a run with up to 2^20 CPUs, and a hash table for any
+  /// other int (a hand-made journal's, say), so a hostile id costs one
+  /// entry rather than an array that long.
+  template <typename T>
+  class IdTable {
+   public:
+    T& operator[](int id) {
+      if (id < -1 || id >= kDenseIds) return sparse_[id];
+      const auto i = static_cast<std::size_t>(id + 1);
+      if (i >= dense_.size()) dense_.resize(i + 1);
+      return dense_[i];
+    }
+    const T* find(int id) const {
+      if (id < -1 || id >= kDenseIds) {
+        const auto it = sparse_.find(id);
+        return it == sparse_.end() ? nullptr : &it->second;
+      }
+      const auto i = static_cast<std::size_t>(id + 1);
+      return i < dense_.size() ? &dense_[i] : nullptr;
+    }
+
+   private:
+    static constexpr int kDenseIds = 1 << 20;
+    std::vector<T> dense_;
+    std::unordered_map<int, T> sparse_;
+  };
+  /// One operating point of a CPU's table.
+  struct TablePoint {
+    double hz = 0.0;
+    double volts = 0.0;
+  };
+  /// Checks 4 and 6's memory of one node; each flag says whether its
+  /// check has seen the node yet.
+  struct NodeState {
+    bool has_epoch = false;  ///< 4: highest applied epoch.
+    bool has_seq = false;    ///< 6: newest applied (epoch, seq).
+    bool has_apply = false;  ///< 6: earliest apply after the last disturbance.
+    double epoch = 0.0;
+    double seq_epoch = 0.0;
+    double seq = 0.0;
+    double apply_t = 0.0;
+  };
+
+  void observe_node_apply(const Event& e);
+
   std::size_t checks_run_ = 0;
   // 1. Budget compliance.
   std::vector<std::string> budget_violations_;
-  // 2. Voltage-table minimum: cpu -> hz -> table volts, grown as
-  //    table_point events arrive.
-  std::map<int, std::map<double, double>> tables_;
+  // 2. Voltage-table minimum: per cpu, its table points sorted by hz,
+  //    grown as table_point events arrive (a repeated hz overwrites).
+  IdTable<std::vector<TablePoint>> tables_;
+  bool any_table_ = false;
   std::vector<std::string> voltage_violations_;
   // 3. T-restart: (budget-cycle t, next timer-cycle t) gaps, judged at
   //    finish() once the first run_meta has declared (or not) the period.
@@ -436,7 +486,6 @@ class JournalChecker {
   double last_announced_ = -1.0;
   double max_announced_ = -1.0;
   bool saw_announcement_ = false;
-  std::map<int, double> node_epoch_;
   std::vector<std::string> epoch_violations_;
   // 5. Failover window: at most one window is open at a time (a newer
   //    budget change supersedes the previous window).
@@ -456,11 +505,12 @@ class JournalChecker {
   double last_disturb_t_ = -1.0;
   double last_event_t_ = 0.0;
   bool any_disturbance_ = false;
-  std::map<int, std::pair<double, double>> node_seq_;  ///< node -> (epoch, seq).
-  /// Per node: earliest node_apply after the latest disturbance seen so
-  /// far (a value < last_disturb_t_ means none yet).
-  std::map<int, double> node_apply_after_;
   std::vector<std::string> transport_violations_;
+  // Per-node state of checks 4 and 6.
+  IdTable<NodeState> nodes_;
+  // A node_apply whose node is not an integer in [-1, 2^31 - 1] names no
+  // node: it is reported here and joins no node's state.
+  std::vector<std::string> node_id_violations_;
 };
 
 /// Verifies scheduling invariants over a journal:
@@ -485,6 +535,9 @@ class JournalChecker {
 ///      (message_lost / message_corrupt / message_expired) every node
 ///      applies settings within the declared window (the
 ///      bounded-convergence guarantee).
+/// A node_apply whose node is not an integer in [-1, 2^31 - 1] names no
+/// node: it is reported as its own violation, listed after those of the
+/// six checks, and joins no node's state (checks 4 and 6 skip it).
 /// Convenience wrapper over JournalChecker for in-memory logs.
 JournalCheckReport check_journal(const EventLog& log);
 

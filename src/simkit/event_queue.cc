@@ -9,8 +9,8 @@ namespace fvsst::sim {
 
 EventId Simulation::push(double when, double period, double armed,
                          Action action) {
-  // A NaN/inf timestamp would silently corrupt the priority-queue ordering
-  // (every comparison with NaN is false); fail loudly instead.
+  // A NaN/inf timestamp would silently corrupt the heap ordering (every
+  // comparison with NaN is false); fail loudly instead.
   if (!std::isfinite(when) || !std::isfinite(period) ||
       !std::isfinite(armed)) {
     throw std::invalid_argument("Simulation: non-finite event time");
@@ -18,19 +18,33 @@ EventId Simulation::push(double when, double period, double armed,
   if (period < 0.0) {
     throw std::invalid_argument("Simulation: negative period");
   }
-  Event ev;
-  ev.when = std::max(when, now_);
-  ev.armed = armed;
-  ev.seq = next_seq_++;
-  ev.id = next_id_++;
-  ev.period = period;
-  ev.origin = ev.when;
-  ev.fires = 0;
-  ev.action = std::move(action);
-  const EventId id = ev.id;
-  queue_.push(std::move(ev));
+  std::uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.id = next_id_++;
+  slot.period = period;
+  slot.origin = std::max(when, now_);
+  slot.fires = 0;
+  slot.action = std::move(action);
+  push_key({slot.origin, armed, next_seq_++, index});
   ++live_;
-  return id;
+  return slot.id;
+}
+
+void Simulation::push_key(const Key& key) {
+  heap_.push_back(key);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Simulation::release(std::uint32_t slot) {
+  slots_[slot].action = nullptr;
+  free_slots_.push_back(slot);
 }
 
 EventId Simulation::schedule_at(double when, Action action) {
@@ -72,31 +86,37 @@ bool Simulation::cancel(EventId id) {
 }
 
 bool Simulation::step() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    const Key key = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
     --live_;
-    const auto it = std::find(cancelled_.begin(), cancelled_.end(), ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
+    Slot& slot = slots_[key.slot];
+    if (!cancelled_.empty()) {
+      const auto it = std::find(cancelled_.begin(), cancelled_.end(), slot.id);
+      if (it != cancelled_.end()) {
+        cancelled_.erase(it);
+        release(key.slot);
+        continue;
+      }
     }
-    now_ = ev.when;
-    armed_at_ = ev.armed;
-    current_id_ = ev.id;
-    if (ev.period > 0.0) {
-      // Re-arm before running so the action may cancel its own event id.
-      // The k-th firing lands at origin + k*period exactly.
-      Event next = ev;
-      next.fires = ev.fires + 1;
-      // Firing k lands at origin + k*period (origin is the first firing).
-      next.when = ev.origin + static_cast<double>(next.fires) * ev.period;
-      next.armed = now_;
-      next.seq = next_seq_++;
-      queue_.push(next);
+    now_ = key.when;
+    armed_at_ = key.armed;
+    current_id_ = slot.id;
+    if (slot.period > 0.0) {
+      // Re-arm before running so the action may cancel its own event id;
+      // the action runs in place (a deque slot never moves).  Firing k
+      // lands at origin + k*period exactly (origin is the first firing).
+      ++slot.fires;
+      push_key({slot.origin + static_cast<double>(slot.fires) * slot.period,
+                now_, next_seq_++, key.slot});
       ++live_;
+      slot.action();
+    } else {
+      Action action = std::move(slot.action);
+      release(key.slot);
+      action();
     }
-    ev.action();
     ++executed_;
     return true;
   }
@@ -104,7 +124,7 @@ bool Simulation::step() {
 }
 
 void Simulation::run_until(double t_end) {
-  while (!queue_.empty() && queue_.top().when <= t_end) {
+  while (!heap_.empty() && heap_.front().when <= t_end) {
     step();
   }
   now_ = std::max(now_, t_end);

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace fvsst::sim {
@@ -66,6 +66,7 @@ class Simulation {
   void run_for(double duration);
 
   /// Executes events one at a time; returns false when the queue is empty.
+  /// Not re-entrant: an action must not call step() or run_until().
   bool step();
 
   /// Number of events executed since construction.
@@ -81,12 +82,26 @@ class Simulation {
   std::size_t pending() const;
 
  private:
-  struct Event {
+  /// One firing in the dispatch heap.  Trivially copyable, so a sift moves
+  /// 32 bytes and never an action.  Tie-breakers among equal timestamps:
+  /// the simulated time the firing was scheduled at, then FIFO.
+  struct Key {
     double when = 0.0;
-    // Tie-breakers among equal timestamps: the simulated time the event
-    // was scheduled at, then FIFO.
     double armed = 0.0;
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;  ///< Index into slots_.
+  };
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      if (a.armed != b.armed) return a.armed > b.armed;
+      return a.seq > b.seq;
+    }
+  };
+  /// A scheduled event's identity and action.  A one-shot's action is
+  /// moved out before it runs and its slot freed; a repeating event keeps
+  /// its slot, and runs in place, until a cancelled firing pops.
+  struct Slot {
     EventId id = 0;
     double period = 0.0;  // > 0 for repeating events
     // Repeating events fire at origin + k*period (computed, not
@@ -96,18 +111,17 @@ class Simulation {
     std::uint64_t fires = 0;
     Action action;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.armed != b.armed) return a.armed > b.armed;
-      return a.seq > b.seq;
-    }
-  };
 
   EventId push(double when, double period, double armed, Action action);
+  void push_key(const Key& key);
+  void release(std::uint32_t slot);
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<EventId> cancelled_;  // ids cancelled but still in queue_
+  std::vector<Key> heap_;  ///< Min-heap under Later.
+  /// A deque keeps every slot's address stable while actions (one running
+  /// in place among them) schedule new events; freed slots are recycled.
+  std::deque<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<EventId> cancelled_;  // ids cancelled but still in heap_
   double now_ = 0.0;
   double armed_at_ = 0.0;
   EventId current_id_ = 0;

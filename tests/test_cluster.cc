@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -271,53 +272,46 @@ TEST(ClusterPowerLedger, OffTableFrequencyThrowsUntilATablePointReturns) {
 }
 
 TEST(Channel, RejectsNegativeLatency) {
-  sim::Simulation sim;
-  EXPECT_THROW(Channel(sim, -1.0), std::invalid_argument);
+  EXPECT_THROW(Channel(-1.0), std::invalid_argument);
+  EXPECT_THROW(Channel(0.1, -1.0), std::invalid_argument);
 }
 
 TEST(Channel, DeliversAfterLatency) {
-  sim::Simulation sim;
-  Channel ch(sim, 0.5);
-  double delivered_at = -1.0;
-  ch.send([&] { delivered_at = sim.now(); });
-  sim.run_until(0.49);
-  EXPECT_DOUBLE_EQ(delivered_at, -1.0);
-  sim.run_until(1.0);
-  EXPECT_DOUBLE_EQ(delivered_at, 0.5);
+  Channel ch(0.5);
+  EXPECT_EQ(ch.transit(), std::optional<double>(0.5));
+  EXPECT_EQ(ch.delivered(), 0u);  // counted when the delivery runs
+  ch.arrived();
   EXPECT_EQ(ch.delivered(), 1u);
 }
 
 TEST(Channel, JitterStaysWithinBound) {
-  sim::Simulation sim;
-  Channel ch(sim, 0.1, 0.05, sim::Rng(3));
-  std::vector<double> times;
-  for (int i = 0; i < 50; ++i) {
-    ch.send([&] { times.push_back(sim.now()); });
+  Channel ch(0.1, 0.05, sim::Rng(3));
+  std::vector<double> delays;
+  for (int i = 0; i < 50; ++i) delays.push_back(ch.transit().value());
+  for (double d : delays) {
+    EXPECT_GE(d, 0.1);
+    EXPECT_LT(d, 0.15);
   }
-  sim.run_until(1.0);
-  ASSERT_EQ(times.size(), 50u);
-  for (double t : times) {
-    EXPECT_GE(t, 0.1);
-    EXPECT_LT(t, 0.15);
-  }
+  EXPECT_NE(delays.front(), delays.back());
 }
 
 TEST(Channel, LossDropsExpectedFraction) {
-  sim::Simulation sim;
-  Channel ch(sim, 0.001, 0.0, sim::Rng(11));
+  Channel ch(0.001, 0.0, sim::Rng(11));
   ch.set_loss_probability(0.25);
   int delivered = 0;
   for (int i = 0; i < 4000; ++i) {
-    ch.send([&] { ++delivered; });
+    if (ch.transit()) {
+      ch.arrived();
+      ++delivered;
+    }
   }
-  sim.run_until(1.0);
   EXPECT_NEAR(static_cast<double>(delivered) / 4000.0, 0.75, 0.03);
+  EXPECT_EQ(ch.dropped(), 4000u - static_cast<std::size_t>(delivered));
   EXPECT_EQ(ch.delivered() + ch.dropped(), 4000u);
 }
 
 TEST(Channel, LossProbabilityValidated) {
-  sim::Simulation sim;
-  Channel ch(sim, 0.001);
+  Channel ch(0.001);
   EXPECT_THROW(ch.set_loss_probability(-0.1), std::invalid_argument);
   EXPECT_THROW(ch.set_loss_probability(1.0), std::invalid_argument);
   EXPECT_NO_THROW(ch.set_loss_probability(0.0));
@@ -330,46 +324,33 @@ TEST(Channel, LossProbabilityValidated) {
                std::invalid_argument);
 }
 
-TEST(Channel, SendDelayedAddsExtraDelay) {
-  sim::Simulation sim;
-  Channel ch(sim, 0.1);
-  double plain_at = -1.0;
-  double delayed_at = -1.0;
-  ch.send([&] { plain_at = sim.now(); });
-  ch.send_delayed(0.25, [&] { delayed_at = sim.now(); });
-  sim.run_until(1.0);
-  EXPECT_DOUBLE_EQ(plain_at, 0.1);
-  EXPECT_DOUBLE_EQ(delayed_at, 0.35);
-  EXPECT_THROW(ch.send_delayed(-0.01, [] {}), std::invalid_argument);
+TEST(Channel, TransitAddsExtraDelay) {
+  Channel ch(0.1);
+  EXPECT_EQ(ch.transit(), std::optional<double>(0.1));
+  EXPECT_EQ(ch.transit(0.25), std::optional<double>(0.25 + 0.1));
+  EXPECT_THROW(ch.transit(-0.01), std::invalid_argument);
 }
 
-TEST(Channel, SendDelayedZeroMatchesSendRandomness) {
-  // send_delayed(0, ...) must consume exactly the randomness of send(), so
-  // interleaving the two leaves every subsequent jitter/loss draw
-  // unchanged.  Two channels seeded identically, one using send() and one
-  // using send_delayed(0), must deliver at identical times.
-  sim::Simulation sim;
-  Channel plain(sim, 0.01, 0.02, sim::Rng(77));
-  Channel shimmed(sim, 0.01, 0.02, sim::Rng(77));
-  std::vector<double> plain_times;
-  std::vector<double> shimmed_times;
-  for (int i = 0; i < 20; ++i) {
-    plain.send([&] { plain_times.push_back(sim.now()); });
-    shimmed.send_delayed(0.0, [&] { shimmed_times.push_back(sim.now()); });
+TEST(Channel, ExtraDelayDrawsNoRandomness) {
+  // An extra delay must consume no randomness, so interleaving extra
+  // delays leaves every later loss and jitter draw unchanged.  Two
+  // channels seeded identically, one given an extra delay on every other
+  // message, must drop the same messages and jitter the rest alike.
+  Channel plain(0.01, 0.02, sim::Rng(77));
+  Channel shimmed(0.01, 0.02, sim::Rng(77));
+  plain.set_loss_probability(0.3);
+  shimmed.set_loss_probability(0.3);
+  for (int i = 0; i < 200; ++i) {
+    const double extra = i % 2 ? 0.004 : 0.0;
+    const std::optional<double> a = plain.transit();
+    const std::optional<double> b = shimmed.transit(extra);
+    ASSERT_EQ(a.has_value(), b.has_value()) << i;
+    if (a) {
+      EXPECT_DOUBLE_EQ(*b, *a + extra) << i;
+    }
   }
-  sim.run_until(1.0);
-  EXPECT_EQ(plain_times, shimmed_times);
-}
-
-TEST(Channel, PreservesOrderWithoutJitter) {
-  sim::Simulation sim;
-  Channel ch(sim, 0.01);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    ch.send([&, i] { order.push_back(i); });
-  }
-  sim.run_until(1.0);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_GT(plain.dropped(), 0u);
+  EXPECT_EQ(plain.dropped(), shimmed.dropped());
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "event_queue_reference.h"
 #include "simkit/rng.h"
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
 #include <string>
@@ -257,6 +260,140 @@ TEST(Simulation, PeriodicSelfCancellationInsideAction) {
   sim.schedule_at(2.5, [&] { sim.cancel(id); });
   sim.run_until(10.0);
   EXPECT_EQ(fired, 2);
+}
+
+// --- Differential test against the priority_queue engine ------------------
+
+/// One seeded script of schedules, cancels and runs, driven against an
+/// engine; returns everything the script observed, in order: each firing
+/// (which scheduled action, its id, now(), armed_at(), current_id()) and
+/// the result of every call.  Times sit on a 0.25 s grid, so firings tie
+/// often and (when, armed, seq) decides most of the order; actions
+/// schedule more events, cancel themselves, each other, fired events and
+/// unknown ids, and cancel the same id twice.
+template <typename Sim>
+class Script {
+ public:
+  explicit Script(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<std::string> run() {
+    for (int i = 0; i < 10; ++i) schedule_one();
+    for (int i = 0; i < 300 && sim_.pending() > 0; ++i) {
+      if (rng_.bernoulli(0.3)) {
+        const double t_end = sim_.now() + 0.25 * quarter(0, 3);
+        sim_.run_until(t_end);
+        note("run_until", t_end, sim_.now());
+      } else {
+        note("step", sim_.step(), sim_.now());
+      }
+      if (rng_.bernoulli(0.1)) cancel_any();
+    }
+    note("end", static_cast<double>(sim_.events_executed()),
+         static_cast<double>(sim_.pending()));
+    return log_;
+  }
+
+ private:
+  std::int64_t quarter(std::int64_t lo, std::int64_t hi) {
+    return rng_.uniform_int(lo, hi);
+  }
+
+  void schedule_one() {
+    const std::size_t token = ids_.size();
+    ids_.push_back(0);
+    const double when = sim_.now() + 0.25 * quarter(-1, 4);
+    const double period = 0.25 * quarter(1, 3);
+    EventId id = 0;
+    switch (rng_.uniform_int(0, 4)) {
+      case 0:
+        id = sim_.schedule_at(when, action(token));
+        break;
+      case 1:
+        id = sim_.schedule_at(when, sim_.now() + 0.25 * quarter(-2, 2),
+                              action(token));
+        break;
+      case 2:
+        id = sim_.schedule_after(0.25 * quarter(0, 4), action(token));
+        break;
+      case 3:
+        id = sim_.schedule_every(period, action(token));
+        break;
+      default:
+        id = sim_.schedule_every_from(when, period, action(token));
+        break;
+    }
+    ids_[token] = id;
+    note("schedule", static_cast<double>(token), static_cast<double>(id));
+  }
+
+  typename Sim::Action action(std::size_t token) {
+    return [this, token] {
+      char buf[160];
+      std::snprintf(buf, sizeof buf,
+                    "fire token=%zu id=%" PRIu64 " now=%a armed=%a cur=%" PRIu64,
+                    token, ids_[token], sim_.now(), sim_.armed_at(),
+                    sim_.current_id());
+      log_.emplace_back(buf);
+      switch (rng_.uniform_int(0, 9)) {
+        case 0:
+          schedule_one();
+          schedule_one();
+          break;
+        case 1:
+        case 2:
+          schedule_one();
+          break;
+        case 3:
+          note("cancel self", sim_.cancel(ids_[token]));
+          break;
+        case 4:
+          cancel_any();
+          break;
+        case 5: {
+          const EventId id = pick();
+          note("cancel twice", sim_.cancel(id), sim_.cancel(id));
+          break;
+        }
+        case 6:
+          note("cancel unknown", sim_.cancel(0),
+               sim_.cancel(ids_.back() + 7));
+          break;
+        default:
+          break;
+      }
+    };
+  }
+
+  EventId pick() {
+    return ids_[static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(ids_.size()) - 1))];
+  }
+
+  void cancel_any() { note("cancel", sim_.cancel(pick())); }
+
+  void note(const char* what, double a, double b = 0.0) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%s %a %a pending=%zu", what, a, b,
+                  sim_.pending());
+    log_.emplace_back(buf);
+  }
+
+  Sim sim_;
+  Rng rng_;
+  std::vector<EventId> ids_;  ///< By token: the id its schedule returned.
+  std::vector<std::string> log_;
+};
+
+TEST(SimulationDifferential, MatchesPriorityQueueEngine) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const auto expected = Script<ReferenceSimulation>(seed).run();
+    const auto got = Script<Simulation>(seed).run();
+    ASSERT_GT(expected.size(), 20u) << "seed " << seed;
+    ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], expected[i]) << "seed " << seed << ", line " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ struct Harness {
   TransportOptions opts;
 
   explicit Harness(TransportMode mode, double latency = 0.002)
-      : channel(sim, latency, 0.0, sim::Rng(404)) {
+      : channel(latency, 0.0, sim::Rng(404)) {
     opts.mode = mode;
     opts.round_period_s = 0.1;
   }
@@ -477,8 +477,8 @@ void run_transport_scenario(std::uint64_t seed) {
     plan.add(spec);
   }
 
-  cluster::Channel down_ch(sim, 0.002, 0.001, sim::Rng(seed));
-  cluster::Channel up_ch(sim, 0.002, 0.001, sim::Rng(seed ^ 0x5555));
+  cluster::Channel down_ch(0.002, 0.001, sim::Rng(seed));
+  cluster::Channel up_ch(0.002, 0.001, sim::Rng(seed ^ 0x5555));
   TransportOptions opts;
   opts.mode = TransportMode::kReliable;
   opts.round_period_s = kPeriod;
