@@ -11,9 +11,10 @@
 // `--smoke` skips google-benchmark entirely and runs the sim-throughput
 // regression gates instead: skip-ahead advance-call reduction, the SMP
 // daemon's event count, binary-vs-JSONL serialize throughput, the
-// monitor aggregators' per-observation cost, and three allocation pins
-// (the flat cluster daemon per round, a streamed journal per event, event
-// dispatch per event).  The counters are deterministic; the serialize and
+// monitor aggregators' per-observation cost, three allocation pins (the
+// flat cluster daemon per round, a streamed journal per event, event
+// dispatch per event) and a memory pin (live heap bytes per node of a tree
+// daemon's cluster).  The counters are deterministic; the serialize and
 // monitor gates are same-process ratios (best of three passes), so machine
 // load cancels out.
 #include <benchmark/benchmark.h>
@@ -30,9 +31,12 @@
 #include <sstream>
 #include <string>
 
+#include <malloc.h>
+
 #include "cluster/cluster.h"
 #include "core/cluster_daemon.h"
 #include "core/daemon.h"
+#include "core/tree_daemon.h"
 #include "cpu/core.h"
 #include "mach/machine_config.h"
 #include "mem/cache.h"
@@ -775,6 +779,60 @@ int run_smoke() {
                    "over %zu small/big-closure events (budget 0/%zu) — "
                    "actions are copied again\n",
                    allocs[0], allocs[1], kEvents, kEvents);
+      ++failures;
+    }
+  }
+
+  // Gate 8: live heap bytes per simulated node.  A 1-CPU homogeneous
+  // cluster and its tree daemon, after two rounds, hold what the daemon
+  // keeps per node for the rest of a run: the core, its node, the shard's
+  // hot arrays and the leaf sampler's state.  Every node shares one
+  // machine description, and each core folds its grid samples into two
+  // counter records instead of storing a snapshot per tick (a history
+  // that grows to 16 x 48 bytes per core between rounds).  The current
+  // code reads 1371 B per node; with a machine copy per node and the
+  // snapshot history it read 2756 B.  Live bytes are mallinfo2's
+  // allocated bytes (arena plus mmapped chunks) before the cluster is
+  // built and after the second round.
+  {
+    constexpr std::size_t kNodes = 4000;
+    constexpr double kBytesPerNode = 1600.0;
+    const auto live_bytes = [] {
+      const struct mallinfo2 mi = mallinfo2();
+      return static_cast<double>(mi.uordblks) + static_cast<double>(mi.hblkhd);
+    };
+    const double before = live_bytes();
+    double per_node = 0.0;
+    std::size_t rounds = 0;
+    {
+      sim::Simulation sim;
+      sim::Rng rng(5);
+      mach::MachineConfig machine = mach::p630();
+      machine.num_cpus = 1;
+      cluster::Cluster cluster =
+          cluster::Cluster::homogeneous(sim, machine, kNodes, rng);
+      const workload::WorkloadSpec synth =
+          workload::make_uniform_synthetic(70.0, 1e12);
+      for (const auto& addr : cluster.all_procs()) {
+        cluster.core(addr).add_workload(synth);
+      }
+      power::PowerBudget budget(static_cast<double>(kNodes) * 140.0);
+      core::TreeDaemonConfig cfg;
+      core::TreeDaemon daemon(sim, cluster, machine.freq_table, budget, cfg);
+      sim.run_until(2.0 * cfg.schedule_every_n_samples * cfg.t_sample_s +
+                    0.5 * cfg.t_sample_s);
+      rounds = daemon.rounds();
+      per_node = (live_bytes() - before) / static_cast<double>(kNodes);
+    }
+    std::printf("smoke: live heap per node (1-CPU tree, %zu nodes, %zu "
+                "rounds): %.0f B\n",
+                kNodes, rounds, per_node);
+    if (rounds != 2 || per_node > kBytesPerNode) {
+      std::fprintf(stderr,
+                   "smoke FAIL: %.0f live heap bytes per node after %zu "
+                   "rounds (budget %.0f over 2 rounds) — per-node machine "
+                   "copies or counter histories are back\n",
+                   per_node, rounds, kBytesPerNode);
       ++failures;
     }
   }

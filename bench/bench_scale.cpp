@@ -10,7 +10,9 @@
 //
 // A second sweep compares the flat single-coordinator daemon against the
 // hierarchical coordinator tree at O(1k-100k) nodes on the headline
-// metric nodes*sim-seconds per wall-second.  The flat daemon's per-node
+// metric nodes*sim-seconds per wall-second, and reports the memory each
+// cell holds at the end of its run: live heap per node, and the resident
+// set it added.  The flat daemon's per-node
 // agents and per-node channel traffic make it O(nodes) per sample tick;
 // the tree's batched SoA shard sweeps and O(shards) summary traffic are
 // what let the same scenario scale two orders of magnitude further.
@@ -24,9 +26,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include "core/cluster_daemon.h"
 #include "core/tree_daemon.h"
@@ -102,11 +108,40 @@ ScaleResult run_cell(std::size_t nodes, int threads, double duration_s) {
 
 // ---- Topology sweep: flat coordinator vs hierarchical tree ---------------
 
+/// Bytes glibc's allocator has handed out and not taken back (arena
+/// chunks plus mmapped ones); 0 under a sanitizer, whose allocator
+/// replaces glibc's.
+double live_heap_bytes() {
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks) + static_cast<double>(mi.hblkhd);
+}
+
+/// Resident bytes of this process (/proc/self/statm), after handing the
+/// freed heap back to the kernel so an earlier cell's pages do not count.
+double resident_bytes() {
+  malloc_trim(0);
+  long pages = 0;
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    long size = 0;
+    if (std::fscanf(f, "%ld %ld", &size, &pages) != 2) pages = 0;
+    std::fclose(f);
+  }
+  return static_cast<double>(pages) * static_cast<double>(sysconf(_SC_PAGESIZE));
+}
+
+struct TopologyCell {
+  double rate = 0.0;                ///< nodes * sim-s per wall-s.
+  double heap_bytes_per_node = 0.0;  ///< Live heap at the run's end / nodes.
+  double resident_mb = 0.0;         ///< Resident set the cell added.
+};
+
 /// One scale cell: uniform load, a mid-run budget drop, and either the
 /// flat ClusterDaemon or the TreeDaemon.  Single-CPU nodes keep the core
 /// count equal to the node count so "nodes" is the honest scale axis.
-/// Returns nodes * simulated seconds per wall second.
-double run_topology_cell(std::size_t nodes, bool tree, double duration_s) {
+TopologyCell run_topology_cell(std::size_t nodes, bool tree,
+                               double duration_s) {
+  const double heap_before = live_heap_bytes();
+  const double resident_before = resident_bytes();
   sim::Simulation sim;
   sim::Rng rng(17);
   mach::MachineConfig machine = mach::p630();
@@ -138,7 +173,12 @@ double run_topology_cell(std::size_t nodes, bool tree, double duration_s) {
   sim.run_for(duration_s);
   const auto stop = std::chrono::steady_clock::now();
   const double wall_s = std::chrono::duration<double>(stop - start).count();
-  return static_cast<double>(nodes) * duration_s / wall_s;
+  TopologyCell cell;
+  cell.rate = static_cast<double>(nodes) * duration_s / wall_s;
+  cell.heap_bytes_per_node =
+      (live_heap_bytes() - heap_before) / static_cast<double>(nodes);
+  cell.resident_mb = (resident_bytes() - resident_before) / (1024.0 * 1024.0);
+  return cell;
 }
 
 /// Runs the topology comparison and (in smoke mode) enforces the scaling
@@ -154,21 +194,30 @@ int topology_sweep(bool smoke) {
   sim::TextTable table("Topology scale-out (" +
                        sim::TextTable::num(duration_s, 2) +
                        " s simulated, single-CPU nodes, event advance)");
-  table.set_header({"nodes", "topology", "nodes*sim-s / wall-s"});
+  table.set_header({"nodes", "topology", "nodes*sim-s / wall-s",
+                    "live heap B/node", "resident MB"});
   std::vector<double> flat_rate(tree_nodes.size(), 0.0);
   std::vector<double> tree_rate(tree_nodes.size(), 0.0);
+  const auto row = [&table](std::size_t n, const char* topology,
+                            const TopologyCell& cell) {
+    table.add_row({sim::TextTable::num(n, 0), topology,
+                   sim::TextTable::num(cell.rate, 0),
+                   sim::TextTable::num(cell.heap_bytes_per_node, 0),
+                   sim::TextTable::num(cell.resident_mb, 1)});
+  };
   for (std::size_t i = 0; i < tree_nodes.size(); ++i) {
     const std::size_t n = tree_nodes[i];
     for (std::size_t f : flat_nodes) {
       if (f == n) {
-        flat_rate[i] = run_topology_cell(n, /*tree=*/false, duration_s);
-        table.add_row({sim::TextTable::num(n, 0), "flat",
-                       sim::TextTable::num(flat_rate[i], 0)});
+        const TopologyCell cell =
+            run_topology_cell(n, /*tree=*/false, duration_s);
+        flat_rate[i] = cell.rate;
+        row(n, "flat", cell);
       }
     }
-    tree_rate[i] = run_topology_cell(n, /*tree=*/true, duration_s);
-    table.add_row({sim::TextTable::num(n, 0), "tree",
-                   sim::TextTable::num(tree_rate[i], 0)});
+    const TopologyCell cell = run_topology_cell(n, /*tree=*/true, duration_s);
+    tree_rate[i] = cell.rate;
+    row(n, "tree", cell);
   }
   table.print();
   std::printf(

@@ -25,11 +25,12 @@ Cluster::Cluster(std::vector<std::unique_ptr<Node>> nodes)
 Cluster Cluster::homogeneous(sim::Simulation& sim,
                              const mach::MachineConfig& mc, std::size_t count,
                              sim::Rng& rng, const Node::Options& opts) {
+  const auto shared = std::make_shared<const mach::MachineConfig>(mc);
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     nodes.push_back(std::make_unique<Node>(
-        sim, "node" + std::to_string(i), mc, rng, opts));
+        sim, "node" + std::to_string(i), shared, rng, opts));
   }
   return Cluster(std::move(nodes));
 }

@@ -26,13 +26,15 @@ class Cluster {
  public:
   explicit Cluster(std::vector<std::unique_ptr<Node>> nodes);
 
-  /// Builds `count` identical nodes from one machine description.
+  /// Builds `count` identical nodes sharing one copy of the machine
+  /// description.
   static Cluster homogeneous(sim::Simulation& sim, const mach::MachineConfig&,
                              std::size_t count, sim::Rng& rng,
                              const Node::Options& opts = NodeOptions());
 
   /// Builds one node per machine description (mixed generations, derated
-  /// bins — the heterogeneous case of paper Sec. 5).
+  /// bins — the heterogeneous case of paper Sec. 5), each with its own
+  /// copy.
   static Cluster heterogeneous(sim::Simulation& sim,
                                const std::vector<mach::MachineConfig>& configs,
                                sim::Rng& rng,

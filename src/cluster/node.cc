@@ -1,10 +1,20 @@
 #include "cluster/node.h"
 
+#include <stdexcept>
+
 namespace fvsst::cluster {
 
 Node::Node(sim::Simulation& sim, std::string name,
            const mach::MachineConfig& mc, sim::Rng& rng, const Options& opts)
-    : name_(std::move(name)), machine_(mc) {
+    : Node(sim, std::move(name),
+           std::make_shared<const mach::MachineConfig>(mc), rng, opts) {}
+
+Node::Node(sim::Simulation& sim, std::string name,
+           std::shared_ptr<const mach::MachineConfig> machine, sim::Rng& rng,
+           const Options& opts)
+    : name_(std::move(name)), machine_(std::move(machine)) {
+  if (!machine_) throw std::invalid_argument("Node: null machine config");
+  const mach::MachineConfig& mc = *machine_;
   cores_.reserve(mc.num_cpus);
   for (std::size_t i = 0; i < mc.num_cpus; ++i) {
     cpu::Core::Config cfg;
@@ -24,18 +34,18 @@ Node::Node(sim::Simulation& sim, std::string name,
 double Node::cpu_power_w() const {
   double total = 0.0;
   for (const auto& core : cores_) {
-    total += machine_.freq_table.power(core->frequency_hz());
+    total += machine_->freq_table.power(core->frequency_hz());
   }
   return total;
 }
 
 double Node::total_power_w() const {
-  return cpu_power_w() + machine_.non_cpu_power_w;
+  return cpu_power_w() + machine_->non_cpu_power_w;
 }
 
 void Node::reset_to_max_frequency() {
   for (auto& core : cores_) {
-    core->set_frequency(machine_.nominal_hz);
+    core->set_frequency(machine_->nominal_hz);
   }
 }
 

@@ -29,11 +29,18 @@ class Node {
  public:
   using Options = NodeOptions;
 
+  /// A node with its own copy of `mc`.
   Node(sim::Simulation& sim, std::string name, const mach::MachineConfig& mc,
        sim::Rng& rng, const Options& opts = NodeOptions());
 
+  /// A node sharing the immutable description `mc` (non-null) with every
+  /// other node built from the same pointer (Cluster::homogeneous).
+  Node(sim::Simulation& sim, std::string name,
+       std::shared_ptr<const mach::MachineConfig> mc, sim::Rng& rng,
+       const Options& opts = NodeOptions());
+
   const std::string& name() const { return name_; }
-  const mach::MachineConfig& machine() const { return machine_; }
+  const mach::MachineConfig& machine() const { return *machine_; }
 
   std::size_t cpu_count() const { return cores_.size(); }
   cpu::Core& core(std::size_t i) { return *cores_.at(i); }
@@ -50,7 +57,7 @@ class Node {
 
  private:
   std::string name_;
-  mach::MachineConfig machine_;
+  std::shared_ptr<const mach::MachineConfig> machine_;
   std::vector<std::unique_ptr<cpu::Core>> cores_;
 };
 

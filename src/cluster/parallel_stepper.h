@@ -4,14 +4,14 @@
 // The cluster daemons' hot work is advancing every node's lazily
 // synchronised core models up to a summary instant.  Those advances touch
 // only per-core state — each core owns its RNG stream, sampling-grid
-// cursor, counter history and value-copied workload runners — so distinct
+// cursor, sample fold and value-copied workload runners — so distinct
 // nodes can advance concurrently without changing a single bit of the
 // result: a pre-synced core subdivides the skipped span at its own
 // sampling grid (cpu::Core::set_sampling_grid), reproducing exactly the
 // sync boundaries the serial run would have used, entirely within
 // per-core state.  Everything order-sensitive
-// (journal emission, channel sends, coordinator rounds, history replay
-// into the samplers) stays on the simulation thread, run in node order
+// (journal emission, channel sends, coordinator rounds, the samplers'
+// interval reads) stays on the simulation thread, run in node order
 // after the pool joins.
 //
 // StepPool implements the parallel half.  run(n, fn) executes fn(i) for

@@ -99,7 +99,7 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     for (std::size_t c = 0; c < cluster_.node(n).cpu_count(); ++c) {
       // The node agents charge no per-tick overhead (their cost is
       // modelled as channel latency), so the grid only subdivides the
-      // advance and records snapshots for the samplers' replay.
+      // advance and folds each tick's counters for the agents' samplers.
       cluster_.node(n).core(c).set_sampling_grid(
           grid_origin_, config_.t_sample_s, /*recurring_steal_s=*/0.0,
           /*record_history=*/true);
@@ -335,7 +335,13 @@ void ClusterDaemon::crash_edges(double now) {
   // sync boundary at the ticks it misses: at its first crashed tick they
   // are brought to the previous tick (the last one the agent saw) and
   // their grids suspended, so they advance in one piece until the first
-  // live tick resumes the lattice there.
+  // live tick resumes the lattice there.  A node's flag depends only on
+  // the plan and the tick, so while no node is flagged and no crash window
+  // of any target is open every flag stays clear: skip the per-node scan.
+  if (crashed_count_ == 0 &&
+      !config_.fault_plan->active(sim::FaultKind::kNodeCrash, -1, now)) {
+    return;
+  }
   for (std::size_t n = 0; n < agents_.size(); ++n) {
     const char crashed = config_.fault_plan->active(sim::FaultKind::kNodeCrash,
                                                     static_cast<int>(n), now)
@@ -343,6 +349,7 @@ void ClusterDaemon::crash_edges(double now) {
                              : 0;
     if (crashed == node_crashed_[n]) continue;
     node_crashed_[n] = crashed;
+    crashed_count_ = crashed ? crashed_count_ + 1 : crashed_count_ - 1;
     for (std::size_t c = 0; c < cluster_.node(n).cpu_count(); ++c) {
       cpu::Core& core = cluster_.node(n).core(c);
       if (crashed) {

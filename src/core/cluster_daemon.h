@@ -229,6 +229,12 @@ class ClusterDaemon {
   /// their autonomous budget/N frequency).
   std::size_t failsafe_node_count() const;
 
+  /// Whether `node` was crashed (a node_crash window of the fault plan
+  /// open) at the latest tick.
+  bool node_crashed(std::size_t node) const {
+    return node_crashed_.at(node) != 0;
+  }
+
   /// The current leader's epoch (what nodes' fences converge to).
   cluster::Epoch epoch() const { return leader_coordinator().epoch(); }
 
@@ -355,6 +361,7 @@ class ClusterDaemon {
   /// their grids suspended and must gain no sync boundary, so this is also
   /// the parallel pre-sync's skip mask.
   std::vector<char> node_crashed_;
+  std::size_t crashed_count_ = 0;  ///< Nodes flagged in node_crashed_.
   /// The buffer the latest round's grants rode in, shared by every node's
   /// deliver closure: reused once no in-flight delivery or retransmit slot
   /// holds it, replaced otherwise.

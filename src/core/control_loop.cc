@@ -420,34 +420,19 @@ const sim::TimeSeries& ControlLoop::trace(std::size_t cpu, Trace which) const {
 SimCoreSampler::SimCoreSampler(cluster::Cluster& cluster,
                                std::vector<cluster::ProcAddress> procs,
                                ResetPolicy reset, double start_time)
-    : cluster_(cluster), procs_(std::move(procs)), reset_(reset) {
-  last_snapshot_.resize(procs_.size());
-  aggregate_.resize(procs_.size());
-  aggregate_started_at_.assign(procs_.size(), start_time);
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    last_snapshot_[i] = cluster_.core(procs_[i]).read_counters();
-  }
+    : cluster_(cluster),
+      procs_(std::move(procs)),
+      reset_(reset),
+      aggregate_started_at_(procs_.size(), start_time) {
+  for (const auto& addr : procs_) cluster_.core(addr).start_sample_fold();
 }
 
 void SimCoreSampler::collect() {
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    auto& core = cluster_.core(procs_[i]);
-    // read_counters() syncs the core first, so any grid instants crossed
-    // since the last collect have already recorded their snapshots.
-    const cpu::PerfCounters now = core.read_counters();
-    // Replay the per-tick folds since the last collect (a core without a
-    // sampling grid records none).  Each snapshot is the exact counter
-    // value a collect at that tick would have read, so folding them in
-    // order leaves aggregate_ bit-identical to the per-tick sum.
-    history_scratch_.clear();
-    core.drain_counter_history(history_scratch_);
-    for (const auto& snap : history_scratch_) {
-      aggregate_[i] += snap - last_snapshot_[i];
-      last_snapshot_[i] = snap;
-    }
-    aggregate_[i] += now - last_snapshot_[i];
-    last_snapshot_[i] = now;
-  }
+  // Syncing folds every grid instant crossed since the last collect (each
+  // the counters a collect at that tick would have read), then the read
+  // at `now` folds on top: the sum stays bit-identical to the per-tick
+  // collector's.
+  for (const auto& addr : procs_) cluster_.core(addr).collect_sample_fold();
 }
 
 std::vector<IntervalSample> SimCoreSampler::end_interval(double now) {
@@ -464,7 +449,7 @@ void SimCoreSampler::end_interval(double now,
     IntervalSample& s = out[i];
     auto& core = cluster_.core(procs_[i]);
     const double elapsed = now - aggregate_started_at_[i];
-    s.delta = aggregate_[i];
+    s.delta = core.sample_fold();
     s.elapsed_s = elapsed;
     s.os_idle = core.idle();
     s.current_hz = core.frequency_hz();
@@ -473,7 +458,7 @@ void SimCoreSampler::end_interval(double now,
     const bool reset =
         reset_ == ResetPolicy::kOnElapsed ? elapsed > 0.0 : s.valid;
     if (reset) {
-      aggregate_[i] = cpu::PerfCounters{};
+      core.clear_sample_fold();
       aggregate_started_at_[i] = now;
     }
   }

@@ -408,9 +408,10 @@ class SimCoreSampler final : public Sampler {
     kOnElapsed,
   };
 
-  /// Takes the construction-time snapshot of every core's counters.
-  /// `start_time` is the current simulated time (the first interval's
-  /// start).
+  /// Starts every core's sample fold (cpu::Core::start_sample_fold: the
+  /// construction-time snapshot of its counters).  `start_time` is the
+  /// current simulated time (the first interval's start).  The sampler
+  /// owns its cores' folds: one sampler per core.
   SimCoreSampler(cluster::Cluster& cluster,
                  std::vector<cluster::ProcAddress> procs,
                  ResetPolicy reset = ResetPolicy::kOnValidInterval,
@@ -427,12 +428,7 @@ class SimCoreSampler final : public Sampler {
   cluster::Cluster& cluster_;
   std::vector<cluster::ProcAddress> procs_;
   ResetPolicy reset_;
-  std::vector<cpu::PerfCounters> last_snapshot_;
-  std::vector<cpu::PerfCounters> aggregate_;
   std::vector<double> aggregate_started_at_;
-  /// Reused buffer for draining grid-instant counter snapshots; avoids a
-  /// per-collect allocation.
-  std::vector<cpu::PerfCounters> history_scratch_;
 };
 
 /// The paper's workload estimation stage: distils counter deltas into

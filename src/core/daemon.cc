@@ -230,8 +230,8 @@ void FvsstDaemon::on_wake() {
   // re-arms before its action: events the work schedules for that tick
   // run after its wake, never before.
   if (next == m + 1) arm_wake(next);
-  // The per-tick steals were applied by the cores' sampling grids; collect
-  // replays the skipped per-tick counter folds from the recorded history.
+  // The per-tick steals and counter folds were applied by the cores'
+  // sampling grids; collect folds the counters since the last of them.
   loop_->collect(sim_.now());
   if (m == next_cycle_k_) {
     run_cycle(CycleTrigger::kTimer);

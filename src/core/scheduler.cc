@@ -59,9 +59,10 @@ std::size_t FrequencyScheduler::pass1_index(const ProcView& proc,
     // interval will produce an estimate.
     return classified(table.size() - 1, Pass1Reason::kNoEstimate);
   }
+  const double perf_max =
+      predictor_.predict_performance(proc.estimate, table.max_hz());
   for (std::size_t i = 0; i + 1 < table.size(); ++i) {
-    if (loss_at(proc.estimate, table[i].hz, table.max_hz()) <
-        options_.epsilon) {
+    if (loss_from(perf_max, proc.estimate, table[i].hz) < options_.epsilon) {
       return classified(i, Pass1Reason::kEpsilon);
     }
   }
@@ -183,17 +184,19 @@ ScheduleResult FrequencyScheduler::finalize(
     d.hz = granted.hz;
     d.volts = granted.volts;  // pass 3: minimum-voltage table look-up
     d.watts = granted.watts;
-    d.predicted_loss =
-        no_loss ? 0.0 : loss_at(procs[p].estimate, granted.hz, table.max_hz());
+    // f_max's predicted performance, once per processor.
+    const WorkloadEstimate& est = procs[p].estimate;
+    const double perf_max =
+        no_loss ? 0.0 : predictor_.predict_performance(est, table.max_hz());
+    const auto loss = [&](double hz) {
+      return no_loss ? 0.0 : loss_from(perf_max, est, hz);
+    };
+    d.predicted_loss = loss(granted.hz);
     d.pass1_reason = reasons[p];
     if (options_.explain) {
-      d.pass1_loss =
-          no_loss ? 0.0
-                  : loss_at(procs[p].estimate, d.desired_hz, table.max_hz());
+      d.pass1_loss = loss(d.desired_hz);
       if (desired_idx[p] > 0 && !no_loss) {
-        d.rejected_loss = loss_at(procs[p].estimate,
-                                  table[desired_idx[p] - 1].hz,
-                                  table.max_hz());
+        d.rejected_loss = loss(table[desired_idx[p] - 1].hz);
       }
     }
     result.total_cpu_power_w += granted.watts;

@@ -157,6 +157,12 @@ class FrequencyScheduler {
   using Tables = std::vector<const mach::FrequencyTable*>;
 
   double loss_at(const WorkloadEstimate& est, double hz, double f_max) const;
+  /// loss_at with f_max's predicted performance `perf_max` already known:
+  /// the predictor is pure, so this is bit-identical to loss_at.
+  double loss_from(double perf_max, const WorkloadEstimate& est,
+                   double hz) const {
+    return perf_loss(perf_max, predictor_.predict_performance(est, hz));
+  }
   std::size_t pass1_index(const ProcView& proc,
                           const mach::FrequencyTable& table,
                           Pass1Reason* reason = nullptr) const;

@@ -214,9 +214,10 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
   });
 
   // The cores sample on the tick lattice (Core::set_sampling_grid), so the
-  // daemon wakes only at summary instants and the leaves' samplers replay
-  // the skipped ticks' counter folds.  Summary instants use the grid's own
-  // arithmetic (origin + j*t, integer j) so they land on lattice points.
+  // daemon wakes only at summary instants and each core folds the skipped
+  // ticks' counters for its leaf's sampler.  Summary instants use the
+  // grid's own arithmetic (origin + j*t, integer j) so they land on
+  // lattice points.
   const double t = config_.t_sample_s;
   grid_origin_ = start_t_ + t;
   for (cluster::Shard& shard : shards_) {

@@ -117,10 +117,10 @@ void Core::advance_to(double t) {
       synced_until_ = g;
       // The per-sample overhead the daemon would have stolen at this tick.
       // Pending stolen time never touches the counters until a later
-      // advance consumes it, so adding it before the snapshot leaves the
-      // snapshot identical to a tick-driven read.
+      // advance consumes it, so adding it before the fold leaves the
+      // folded counters identical to a tick-driven read.
       if (grid_steal_s_ > 0.0) stolen_pending_s_ += grid_steal_s_;
-      if (grid_history_) history_.push_back(counters_);
+      if (grid_folds_) fold_counters();
       ++grid_next_k_;
     }
   }
@@ -176,7 +176,7 @@ void Core::set_sampling_grid(double origin, double period,
   grid_origin_ = origin;
   grid_period_ = period;
   grid_steal_s_ = recurring_steal_s;
-  grid_history_ = record_history;
+  grid_folds_ = record_history;
 }
 
 void Core::resume_sampling_grid(double t) {
@@ -187,9 +187,17 @@ void Core::resume_sampling_grid(double t) {
   }
 }
 
-void Core::drain_counter_history(std::vector<PerfCounters>& out) {
-  out.insert(out.end(), history_.begin(), history_.end());
-  history_.clear();
+void Core::drain_counter_history(std::vector<PerfCounters>& /*out*/) {}
+
+void Core::start_sample_fold() {
+  sync();
+  fold_last_ = counters_;
+  fold_sum_ = PerfCounters{};
+}
+
+void Core::collect_sample_fold() {
+  sync();
+  fold_counters();
 }
 
 WorkloadRunner* Core::pick_runner() {

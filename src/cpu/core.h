@@ -22,10 +22,13 @@
 // exhaustion) and advance_to(t) jumps the model there in one call.  When a
 // daemon samples the core on a fixed lattice, set_sampling_grid() makes a
 // single large advance_to() internally subdivide at the lattice instants —
-// reproducing the exact chunk boundaries, noise draws, overhead steals and
-// counter snapshots a per-tick driver would have produced — so a daemon
-// that wakes only when it has work is bit-for-bit identical to one that
-// reads every core at every tick.
+// reproducing the exact chunk boundaries, noise draws and overhead steals a
+// per-tick driver would have produced — and fold each instant's counters
+// into the sampler's running aggregate right there (the sample fold:
+// `sum += counters - last; last = counters`, the sum a per-tick collector
+// would have built), so a daemon that wakes only when it has work is
+// bit-for-bit identical to one that reads every core at every tick and
+// the core keeps no per-instant history.
 #pragma once
 
 #include <cstddef>
@@ -138,8 +141,8 @@ class Core {
   /// backwards).  With a sampling grid registered the span is subdivided at
   /// every grid instant in (synced_until, t]: each segment advances with
   /// the exact chunking a per-tick sync would have used, and each grid
-  /// instant applies the recurring steal and (when enabled) records a
-  /// counter snapshot.  `sync()` is `advance_to(sim.now())`.
+  /// instant applies the recurring steal and (when enabled) folds the
+  /// counters into the sample fold.  `sync()` is `advance_to(sim.now())`.
   void advance_to(double t);
 
   /// Absolute time of the next model discontinuity after the last advance:
@@ -156,15 +159,17 @@ class Core {
   /// the exact floating-point expression sim::Simulation uses to re-arm
   /// periodic events (origin is the first firing, not the schedule time).
   /// At each instant crossed by an advance the core adds
-  /// `recurring_steal_s` of overhead and, when `record_history`, snapshots
-  /// its counters for later replay by the sampler.  One consumer only:
-  /// re-registering with a different lattice throws; re-registering the
-  /// same lattice changes only the steal and history settings (the
+  /// `recurring_steal_s` of overhead and, when `record_history`, folds its
+  /// counters into the sample fold there, as a per-tick collect would
+  /// have (the parameter keeps its historical name: the core once stored
+  /// a snapshot per instant for the sampler to replay).  One consumer
+  /// only: re-registering with a different lattice throws; re-registering
+  /// the same lattice changes only the steal and fold settings (the
   /// instants already crossed stay crossed).
   void set_sampling_grid(double origin, double period,
                          double recurring_steal_s, bool record_history);
 
-  /// Stops grid subdivision, steals and snapshots at the instants not yet
+  /// Stops grid subdivision, steals and folds at the instants not yet
   /// crossed: until resume_sampling_grid(), advances run in one piece, as
   /// they do for a core nobody samples (a crashed node's).
   void suspend_sampling_grid() { grid_suspended_ = true; }
@@ -174,9 +179,33 @@ class Core {
   /// never processed.  No-op unless suspended.
   void resume_sampling_grid(double t);
 
-  /// Moves the per-grid-instant counter snapshots accumulated since the
-  /// last drain into `out` (appended in time order).
+  /// Inert: the core folds each grid instant's counters into the sample
+  /// fold instead of storing a snapshot, so there is no history to drain
+  /// and `out` is left as it is.  Kept for callers written against the
+  /// snapshot history.
   void drain_counter_history(std::vector<PerfCounters>& out);
+
+  // --- Sample fold (the sampler's running aggregate) -------------------
+  //
+  // One sampler per core owns the fold.  Between fold points the fold
+  // holds `last`, the counters at the latest point, and `sum`, the
+  // deltas folded since the sampler last cleared it.  A fold point is a
+  // grid instant crossed with folding enabled or a collect_sample_fold().
+
+  /// Synchronises, then makes the current counters the fold's baseline
+  /// and clears its sum (a sampler's construction-time snapshot).
+  void start_sample_fold();
+
+  /// Synchronises (folding every grid instant crossed), then folds the
+  /// counters since the last fold point: `sum += counters - last;
+  /// last = counters`.
+  void collect_sample_fold();
+
+  /// The deltas folded since the last clear_sample_fold().
+  const PerfCounters& sample_fold() const { return fold_sum_; }
+
+  /// Starts a new interval's sum; the baseline is kept.
+  void clear_sample_fold() { fold_sum_ = PerfCounters{}; }
 
   /// Model-advance invocations so far (one per advance_to/sync that had
   /// work to do, counting grid-subdivision segments separately).  The
@@ -206,6 +235,10 @@ class Core {
 
  private:
   void advance(double dt, double end_time);
+  void fold_counters() {
+    fold_sum_ += counters_ - fold_last_;
+    fold_last_ = counters_;
+  }
   WorkloadRunner* pick_runner();
   void rotate_if_quantum_expired();
 
@@ -233,10 +266,11 @@ class Core {
   double grid_origin_ = 0.0;
   double grid_period_ = 0.0;
   double grid_steal_s_ = 0.0;
-  bool grid_history_ = false;
+  bool grid_folds_ = false;
   bool grid_suspended_ = false;
   std::uint64_t grid_next_k_ = 0;  ///< Next unprocessed lattice index.
-  std::vector<PerfCounters> history_;
+  PerfCounters fold_last_;  ///< Counters at the latest fold point.
+  PerfCounters fold_sum_;   ///< Deltas folded since the last clear.
   std::uint64_t advance_calls_ = 0;
 
   PowerLedger* ledger_ = nullptr;  ///< Null for a core outside a Cluster.

@@ -49,6 +49,12 @@ constexpr std::array<TypeName, 23> kTypeNames{{
     {EventType::kAggregation, "aggregation"},
 }};
 
+/// True when `v` is an integer in [lo, 2^31 - 1], so it converts to int
+/// exactly (a cast of anything else is undefined).
+bool int_in_range(double v, double lo) {
+  return v >= lo && v <= std::numeric_limits<int>::max() && v == std::floor(v);
+}
+
 }  // namespace
 
 std::string_view event_type_name(EventType type) {
@@ -595,10 +601,15 @@ class LineParser {
           e.str.emplace_back(key, std::move(value));
         }
       } else {
+        const std::size_t value_begin = pos_;
         const double value = parse_number();
         if (key == "t") {
           e.t = value;
         } else if (key == "cpu") {
+          if (!int_in_range(value, -1.0)) {
+            fail("cpu " + std::string(s_, value_begin, pos_ - value_begin) +
+                 " is not an integer in [-1, 2147483647]");
+          }
           e.cpu = static_cast<int>(value);
         } else {
           e.num.emplace_back(key, value);
@@ -1081,7 +1092,15 @@ void JournalChecker::observe(const Event& e) {
         meta_t_restarts_ = e.num_or("t_restarts");
         meta_failover_window_ = e.num_or("failover_window_s");
         meta_convergence_window_ = e.num_or("convergence_window_s");
-        meta_nodes_ = e.num_or("nodes");
+        const double nodes = e.num_or("nodes");
+        if (int_in_range(nodes, 0.0)) {
+          meta_nodes_ = static_cast<int>(nodes);
+        } else {
+          node_id_violations_.push_back(
+              "run_meta" + at_time(e.t) + " declares nodes " +
+              shortest(nodes) +
+              ", not an integer node count in [0, 2147483647]");
+        }
       }
       return;
 
@@ -1216,8 +1235,7 @@ void JournalChecker::observe_node_apply(const Event& e) {
   const auto [node_field, epoch, seq, cluster_power] =
       read_nums(e, {"node", "epoch", "seq", "cluster_power_w"});
   const double node_id = node_field.value_or(-1.0);
-  if (node_id >= -1.0 && node_id <= std::numeric_limits<int>::max() &&
-      node_id == std::floor(node_id)) {
+  if (int_in_range(node_id, -1.0)) {
     const int node = static_cast<int>(node_id);
     NodeState& state = nodes_[node];
     // 4. Per-node applied epochs never regress and never come from an
@@ -1366,7 +1384,7 @@ JournalCheckReport JournalChecker::finish() {
           "transport-convergence check: journal ends inside the "
           "convergence window of the disturbance" + at_time(last_disturb_t_));
     } else {
-      for (int n = 0; n < static_cast<int>(meta_nodes_); ++n) {
+      for (int n = 0; n < meta_nodes_; ++n) {
         ++report.checks_run;
         const NodeState* state = nodes_.find(n);
         const double applied =

@@ -501,7 +501,7 @@ class JournalChecker {
   //    disturbance (message_lost / message_corrupt / message_expired),
   //    every node applies settings within the declared window.
   double meta_convergence_window_ = 0.0;
-  double meta_nodes_ = 0.0;
+  int meta_nodes_ = 0;  ///< 0 unless run_meta declares a valid count.
   double last_disturb_t_ = -1.0;
   double last_event_t_ = 0.0;
   bool any_disturbance_ = false;
@@ -509,7 +509,9 @@ class JournalChecker {
   // Per-node state of checks 4 and 6.
   IdTable<NodeState> nodes_;
   // A node_apply whose node is not an integer in [-1, 2^31 - 1] names no
-  // node: it is reported here and joins no node's state.
+  // node, and a run_meta whose nodes is not an integer in [0, 2^31 - 1]
+  // declares no node count: each is reported here, the apply joins no
+  // node's state and check 6 judges no node against the count.
   std::vector<std::string> node_id_violations_;
 };
 

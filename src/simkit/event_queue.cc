@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -86,7 +87,13 @@ bool Simulation::cancel(EventId id) {
 }
 
 bool Simulation::step() {
-  while (!heap_.empty()) {
+  return step_until(std::numeric_limits<double>::infinity());
+}
+
+bool Simulation::step_until(double t_end) {
+  // The bound is re-checked after every cancelled entry dropped, so a
+  // cancelled event at the front never lets a later one past t_end.
+  while (!heap_.empty() && heap_.front().when <= t_end) {
     const Key key = heap_.front();
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
@@ -124,8 +131,7 @@ bool Simulation::step() {
 }
 
 void Simulation::run_until(double t_end) {
-  while (!heap_.empty() && heap_.front().when <= t_end) {
-    step();
+  while (step_until(t_end)) {
   }
   now_ = std::max(now_, t_end);
 }

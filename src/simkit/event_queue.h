@@ -57,7 +57,7 @@ class Simulation {
   /// still live.  Cancelling an already-fired one-shot event is a no-op.
   bool cancel(EventId id);
 
-  /// Runs events until the queue is exhausted or `t_end` is reached; the
+  /// Runs every event due at or before `t_end`, and no later one; the
   /// clock always finishes at exactly `t_end` (even if the queue drains
   /// early) so that "run for 10s" semantics hold.
   void run_until(double t_end);
@@ -112,6 +112,10 @@ class Simulation {
     Action action;
   };
 
+  /// step() restricted to events due at or before `t_end`: drops the
+  /// cancelled entries at the front and runs the first live one; false
+  /// when none is due by then.
+  bool step_until(double t_end);
   EventId push(double when, double period, double armed, Action action);
   void push_key(const Key& key);
   void release(std::uint32_t slot);

@@ -9,13 +9,17 @@
 // re-arms with a copy of itself, and cancel() records ids lazily.  The
 // differential test in test_event_queue.cc drives both through the same
 // seeded scripts and requires the same execution sequence and the same
-// return values from every call.
+// return values from every call.  One thing changed since: run_until()
+// used to let step() run whatever followed a cancelled entry at the front,
+// even an event due after the bound; both engines now re-check the bound
+// after dropping a cancelled entry.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -67,15 +71,16 @@ class ReferenceSimulation {
   }
 
   void run_until(double t_end) {
-    while (!queue_.empty() && queue_.top().when <= t_end) {
-      step();
+    while (step_until(t_end)) {
     }
     now_ = std::max(now_, t_end);
   }
   void run_for(double duration) { run_until(now_ + duration); }
 
-  bool step() {
-    while (!queue_.empty()) {
+  bool step() { return step_until(std::numeric_limits<double>::infinity()); }
+
+  bool step_until(double t_end) {
+    while (!queue_.empty() && queue_.top().when <= t_end) {
       Event ev = queue_.top();
       queue_.pop();
       --live_;

@@ -74,6 +74,47 @@ TEST(Cluster, HomogeneousFlattening) {
   EXPECT_EQ(procs[11].cpu, 3u);
 }
 
+TEST(Cluster, HomogeneousNodesShareOneMachineConfig) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  mach::MachineConfig machine = mach::p630();
+  Cluster c = Cluster::homogeneous(sim, machine, 3, rng);
+  // One copy for the whole cluster, not the caller's and not per node.
+  const mach::MachineConfig* shared = &c.node(0).machine();
+  EXPECT_NE(shared, &machine);
+  for (std::size_t n = 1; n < c.node_count(); ++n) {
+    EXPECT_EQ(&c.node(n).machine(), shared);
+    EXPECT_EQ(&c.node(n).machine().freq_table, &shared->freq_table);
+  }
+  // The copy was taken at construction: later edits of the caller's
+  // description reach no node.
+  machine.non_cpu_power_w += 50.0;
+  EXPECT_EQ(shared->non_cpu_power_w, mach::p630().non_cpu_power_w);
+  EXPECT_EQ(shared->freq_table.points().size(),
+            mach::p630().freq_table.points().size());
+}
+
+TEST(Cluster, HeterogeneousNodesKeepTheirOwnTables) {
+  sim::Simulation sim;
+  sim::Rng rng(1);
+  const mach::MachineConfig base = mach::p630();
+  // Two identical descriptions among them: still one copy each.
+  Cluster c = Cluster::heterogeneous(
+      sim, {base, mach::derated(base, 800 * MHz, 0.9), base}, rng);
+  ASSERT_EQ(c.node_count(), 3u);
+  EXPECT_NE(&c.node(0).machine(), &c.node(1).machine());
+  EXPECT_NE(&c.node(0).machine(), &c.node(2).machine());
+  EXPECT_NE(&c.node(0).machine().freq_table, &c.node(2).machine().freq_table);
+  EXPECT_EQ(c.node(0).machine().freq_table.max_hz(), 1 * GHz);
+  EXPECT_EQ(c.node(1).machine().freq_table.max_hz(), 800 * MHz);
+  EXPECT_EQ(c.node(2).machine().freq_table.max_hz(), 1 * GHz);
+  // Each node's cores draw their own table's power.
+  EXPECT_DOUBLE_EQ(c.node(1).cpu_power_w(),
+                   4 * c.node(1).machine().freq_table.max_point().watts);
+  EXPECT_DOUBLE_EQ(c.cpu_power_w(),
+                   8 * 140.0 + c.node(1).cpu_power_w());
+}
+
 TEST(Cluster, AggregatePower) {
   sim::Simulation sim;
   sim::Rng rng(1);

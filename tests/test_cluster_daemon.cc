@@ -5,6 +5,8 @@
 
 #include "mach/machine_config.h"
 #include "power/budget.h"
+#include "simkit/fault_plan.h"
+#include "simkit/rng.h"
 #include "simkit/units.h"
 #include "workload/mixes.h"
 #include "workload/synthetic.h"
@@ -164,6 +166,62 @@ TEST(ClusterDaemon, DiverseTiersGetDiverseFrequencies) {
   }
   EXPECT_GT(web_mean, db_mean);
   EXPECT_GT(daemon.scheduled_power_trace().size(), 10u);
+}
+
+TEST(ClusterDaemon, CrashedSetMatchesThePerNodeQueryAtEveryTick) {
+  // The daemon skips its per-node crash scan at a tick when no node is
+  // flagged and no crash window of any target is open.  At every tick the
+  // flags must still equal the fault plan's answer for each node, under
+  // seeded plans mixing targeted and wildcard windows, windows shorter
+  // than a tick (some containing a tick instant, some between two) and
+  // overlapping ones.
+  constexpr std::size_t kNodes = 6;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    ClusterRig rig(kNodes);
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      rig.cluster.core({n, 0}).add_workload(
+          workload::make_uniform_synthetic(30.0 + 10.0 * n, 1e12));
+    }
+    sim::FaultPlan plan(seed);
+    plan.add({sim::FaultKind::kNodeCrash, 0.2995, 0.3005, 2, 0.0});
+    plan.add({sim::FaultKind::kNodeCrash, 0.3052, 0.3078, -1, 0.0});
+    sim::Rng draw(seed);
+    for (int i = 0; i < 10; ++i) {
+      const double start = draw.uniform(0.05, 1.8);
+      const double length = draw.bernoulli(0.4) ? draw.uniform(5e-4, 9e-3)
+                                                : draw.uniform(0.01, 0.3);
+      const int target =
+          draw.bernoulli(0.3)
+              ? -1
+              : static_cast<int>(draw.uniform_int(0, kNodes - 1));
+      plan.add({sim::FaultKind::kNodeCrash, start, start + length, target,
+                0.0});
+    }
+    ClusterDaemonConfig cfg = default_config();
+    cfg.fault_plan = &plan;
+    ClusterDaemon daemon(rig.sim, rig.cluster, mach::p630_frequency_table(),
+                         rig.budget, cfg);
+    // Armed after the daemon's clock on the same lattice, so at each
+    // instant it runs right after the daemon's tick.
+    std::size_t ticks = 0;
+    std::size_t crashed = 0;
+    rig.sim.schedule_every(cfg.t_sample_s, [&] {
+      ++ticks;
+      for (std::size_t n = 0; n < kNodes; ++n) {
+        const bool want = plan.active(sim::FaultKind::kNodeCrash,
+                                      static_cast<int>(n),
+                                      rig.sim.now()) != nullptr;
+        EXPECT_EQ(daemon.node_crashed(n), want)
+            << "node " << n << " at t=" << rig.sim.now();
+        crashed += want ? 1 : 0;
+      }
+    });
+    rig.sim.run_until(2.0);
+    EXPECT_GE(ticks, 199u);
+    EXPECT_GT(crashed, 0u);
+    EXPECT_LT(crashed, ticks * kNodes);
+  }
 }
 
 }  // namespace

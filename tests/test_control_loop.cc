@@ -1,13 +1,16 @@
 // Tests for the shared control-loop engine (core/control_loop.h) and the
-// telemetry registry (simkit/telemetry.h): stage wiring, EWMA estimate
-// smoothing, byte-stable telemetry, and metric export.
+// telemetry registry (simkit/telemetry.h): stage wiring, the sampler's
+// fold against the snapshot replay it replaced, EWMA estimate smoothing,
+// byte-stable telemetry, and metric export.
 #include "core/control_loop.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,6 +22,7 @@
 #include "mach/machine_config.h"
 #include "power/budget.h"
 #include "run_bytes.h"
+#include "sampler_history_reference.h"
 #include "simkit/event_log.h"
 #include "simkit/fault_plan.h"
 #include "simkit/telemetry.h"
@@ -349,6 +353,179 @@ TEST(ControlLoopFaults, IdleExitMidIntervalRecoversFrequency) {
   EXPECT_LT(idle_enter_t, idle_exit_t);
   EXPECT_GE(idle_exit_t, 0.473);
   EXPECT_TRUE(sim::check_journal(journal).ok());
+}
+
+// --- SimCoreSampler: the core's fold vs the snapshot replay --------------
+
+/// Two nodes of two CPUs, every core multiprogrammed (a 7 ms quantum, so
+/// rotations fall between lattice instants); one core's jobs finish, so
+/// it goes idle mid-run.
+struct FoldWorld {
+  FoldWorld() {
+    for (const auto& addr : cluster.all_procs()) {
+      cpu::Core& core = cluster.core(addr);
+      if (addr.node == 1 && addr.cpu == 1) {
+        core.add_workload(workload::make_uniform_synthetic(50.0, 2e8, false));
+        core.add_workload(workload::make_uniform_synthetic(90.0, 3e8, false));
+        continue;
+      }
+      workload::SyntheticParams params;
+      params.phase1 = {100.0, 3e8};
+      params.phase2 = {20.0 + 10.0 * static_cast<double>(addr.cpu), 1e8};
+      core.add_workload(workload::make_synthetic(params));
+      core.add_workload(workload::make_uniform_synthetic(40.0, 5e9));
+    }
+  }
+
+  static cluster::Cluster build(sim::Simulation& sim) {
+    mach::MachineConfig machine = mach::p630();
+    machine.num_cpus = 2;
+    cluster::NodeOptions opts;
+    opts.quantum_s = 0.007;
+    sim::Rng rng(77);
+    return cluster::Cluster::homogeneous(sim, machine, 2, rng, opts);
+  }
+
+  sim::Simulation sim;
+  cluster::Cluster cluster = build(sim);
+};
+
+void expect_same_samples(const std::vector<IntervalSample>& want,
+                         const std::vector<IntervalSample>& got,
+                         double now) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const IntervalSample& w = want[i];
+    const IntervalSample& g = got[i];
+    EXPECT_EQ(std::memcmp(&w.delta, &g.delta, sizeof w.delta), 0)
+        << "cpu " << i << " delta at t=" << now;
+    EXPECT_EQ(std::memcmp(&w.elapsed_s, &g.elapsed_s, sizeof(double)), 0)
+        << "cpu " << i << " elapsed at t=" << now;
+    EXPECT_EQ(std::memcmp(&w.measured_hz, &g.measured_hz, sizeof(double)), 0)
+        << "cpu " << i << " measured_hz at t=" << now;
+    EXPECT_EQ(w.current_hz, g.current_hz) << "cpu " << i << " at t=" << now;
+    EXPECT_EQ(w.os_idle, g.os_idle) << "cpu " << i << " at t=" << now;
+    EXPECT_EQ(w.valid, g.valid) << "cpu " << i << " at t=" << now;
+  }
+}
+
+/// Runs one seeded script of collects, interval closes (on and off the
+/// lattice, repeated at one instant, and one ahead of the simulation so
+/// an elapsed interval has no cycles), off-lattice syncs, grid suspensions
+/// and resumptions, and set-point changes against a gridded cluster read
+/// by SimCoreSampler and a per-tick twin read by the snapshot replay.
+/// Returns the number of interval closes compared.
+int run_fold_differential(std::uint64_t seed,
+                          SimCoreSampler::ResetPolicy reset) {
+  const double t = 0.010;
+  const std::vector<double> steal = {3e-6, 0.0, 1e-4, 0.0};
+  const auto instant = [t](std::uint64_t k) {
+    return t + static_cast<double>(k) * t;
+  };
+  FoldWorld fold_world;
+  FoldWorld replay_world;
+  const std::vector<cluster::ProcAddress> procs =
+      fold_world.cluster.all_procs();
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    fold_world.cluster.core(procs[i]).set_sampling_grid(t, t, steal[i],
+                                                        true);
+  }
+  SimCoreSampler fold(fold_world.cluster, procs, reset, 0.0);
+  HistoryReplaySampler replay(replay_world.cluster, procs, reset, 0.0);
+  TickedCores ticks(replay_world.sim, replay_world.cluster, t, t, steal);
+  const mach::FrequencyTable& table =
+      fold_world.cluster.node(0).machine().freq_table;
+
+  sim::Rng script(seed);
+  std::vector<char> suspended(procs.size(), 0);
+  std::vector<IntervalSample> got;
+  std::vector<IntervalSample> want;
+  const auto close = [&](double at) {
+    fold.end_interval(at, got);
+    replay.end_interval(at, want);
+    expect_same_samples(want, got, at);
+  };
+  int closes = 0;
+  double now = 0.0;
+  std::uint64_t k = 0;
+  while (now < 3.0) {
+    if (script.uniform(0.0, 1.0) < 0.6) {
+      while (instant(k) <= now) ++k;
+      k += static_cast<std::uint64_t>(script.uniform_int(0, 5));
+      now = instant(k);
+    } else {
+      now += script.uniform(0.1, 3.9) * t;
+    }
+    fold_world.sim.run_until(now);
+    ticks.run_to(now, replay);
+    const double op = script.uniform(0.0, 1.0);
+    const auto i = static_cast<std::size_t>(
+        script.uniform_int(0, static_cast<std::int64_t>(procs.size()) - 1));
+    cpu::Core& fold_core = fold_world.cluster.core(procs[i]);
+    cpu::Core& replay_core = replay_world.cluster.core(procs[i]);
+    if (op < 0.3) {
+      fold.collect();
+      replay.collect();
+    } else if (op < 0.6) {
+      close(now);
+      ++closes;
+    } else if (op < 0.65) {
+      // Twice at one instant (nothing elapsed), then ahead of the
+      // simulation: time elapsed but no cycles were folded.
+      close(now);
+      close(now);
+      close(now + 0.003);
+      closes += 3;
+    } else if (op < 0.75) {
+      fold_core.read_counters();
+      replay_core.read_counters();
+    } else if (op < 0.87) {
+      if (suspended[i]) {
+        fold_core.resume_sampling_grid(now);
+        ticks.resume(i, now);
+      } else {
+        fold_core.read_counters();
+        fold_core.suspend_sampling_grid();
+        replay_core.read_counters();
+        ticks.suspend(i);
+      }
+      suspended[i] = !suspended[i];
+    } else {
+      const double hz = table[static_cast<std::size_t>(script.uniform_int(
+                                  0, static_cast<std::int64_t>(table.size()) -
+                                         1))]
+                            .hz;
+      fold_core.set_frequency(hz);
+      replay_core.set_frequency(hz);
+    }
+  }
+  close(now);
+  ++closes;
+  for (const auto& addr : procs) {
+    const cpu::PerfCounters a = fold_world.cluster.core(addr).read_counters();
+    const cpu::PerfCounters b = replay_world.cluster.core(addr).read_counters();
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+        << "final counters of node " << addr.node << " cpu " << addr.cpu;
+  }
+  return closes;
+}
+
+TEST(SimCoreSampler, FoldMatchesSnapshotReplayOnValidIntervalReset) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    EXPECT_GT(run_fold_differential(
+                  seed, SimCoreSampler::ResetPolicy::kOnValidInterval),
+              20);
+  }
+}
+
+TEST(SimCoreSampler, FoldMatchesSnapshotReplayOnElapsedReset) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    EXPECT_GT(
+        run_fold_differential(seed, SimCoreSampler::ResetPolicy::kOnElapsed),
+        20);
+  }
 }
 
 // --- MetricRegistry and sinks --------------------------------------------

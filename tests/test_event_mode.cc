@@ -45,33 +45,40 @@ cpu::Core::Config core_config(const mach::MachineConfig& machine) {
   return cfg;
 }
 
-void expect_bit_equal(const std::vector<cpu::PerfCounters>& want,
-                      const std::vector<cpu::PerfCounters>& got) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(cpu::PerfCounters)), 0)
-        << "snapshot " << i;
-  }
+void expect_bit_equal(const cpu::PerfCounters& want,
+                      const cpu::PerfCounters& got, const char* what) {
+  EXPECT_EQ(std::memcmp(&want, &got, sizeof(cpu::PerfCounters)), 0) << what;
 }
 
-/// Drives one core by per-tick advance_to calls, the other by jumping
-/// straight to the horizon with a registered sampling grid: counters,
-/// finish times and RNG consumption (every noise draw feeds the counters)
-/// must match bit for bit.  The per-tick core is also left unsynced over
-/// two spans, as a crashed node's agent leaves its cores, while the
+/// The per-tick collector's fold, done by hand on a core read at every
+/// tick: `sum += counters - last; last = counters` at each read.
+struct HandFold {
+  void fold(const cpu::PerfCounters& counters) {
+    sum += counters - last;
+    last = counters;
+  }
+  cpu::PerfCounters last;
+  cpu::PerfCounters sum;
+};
+
+/// Drives one core by per-tick reads, the other by large jumps with a
+/// registered sampling grid that folds every tick's counters inside the
+/// core: at each collect the grid's fold, the counters, finish times and
+/// RNG consumption (every noise draw feeds the counters) must match the
+/// per-tick fold bit for bit.  The per-tick core is also left unsynced
+/// over two spans, as a crashed node's agent leaves its cores, while the
 /// gridded core suspends its grid over them: one span is shorter than a
-/// tick, the other skips ticks [60, 75) and takes an off-lattice sync.
+/// tick, the other skips ticks [60, 75) and takes an off-lattice collect.
 TEST(CoreSkipAhead, GridSubdivisionMatchesPerTickStepping) {
   const mach::MachineConfig machine = mach::p630();
   const double t = 0.010;
-  const double horizon = 2.5;
   // Lattice convention matches sim::Simulation::schedule_every: the origin
   // IS the first instant, and tick k (1-based) lands at origin + (k-1)*t.
   const auto tick_at = [t](int k) {
     return t + static_cast<double>(k - 1) * t;
   };
-  constexpr int kSkipFrom = 60, kSkipTo = 75;
-  const double off_lattice_sync = tick_at(66) + 0.37 * t;
+  constexpr int kSkipFrom = 60, kSkipTo = 75, kLastTick = 250;
+  const double off_lattice_collect = tick_at(66) + 0.37 * t;
 
   auto make = [&](sim::Simulation& sim) {
     auto core = std::make_unique<cpu::Core>(sim, core_config(machine),
@@ -90,36 +97,61 @@ TEST(CoreSkipAhead, GridSubdivisionMatchesPerTickStepping) {
   auto jump = make(sim_jump);
   jump->set_sampling_grid(t, t, /*recurring_steal_s=*/3e-6,
                           /*record_history=*/true);
+  jump->start_sample_fold();
 
-  std::vector<cpu::PerfCounters> tick_history;
-  for (int k = 1; tick_at(k) <= horizon; ++k) {
+  // The per-tick side: a read at every tick outside the skipped span, one
+  // off-lattice read inside it, and a hand fold of every read.  Its sums
+  // are taken at the ticks the jumping side collects at.
+  HandFold hand;
+  std::vector<cpu::PerfCounters> tick_sums;
+  const auto collect_tick = [&] {
+    hand.fold(tick->read_counters());
+    tick_sums.push_back(hand.sum);
+    hand.sum = cpu::PerfCounters{};
+  };
+  for (int k = 1; k <= kLastTick; ++k) {
     if (k >= kSkipFrom && k < kSkipTo) {
       if (k == 66) {
-        sim_tick.run_until(off_lattice_sync);
-        tick->read_counters();
+        sim_tick.run_until(off_lattice_collect);
+        collect_tick();
       }
       continue;
     }
     sim_tick.run_until(tick_at(k));
     tick->steal_time(3e-6);
-    tick_history.push_back(tick->read_counters());
+    hand.fold(tick->read_counters());
+    if (k == 40 || k == kSkipFrom - 1 || k == 120 || k == kLastTick) {
+      collect_tick();
+    }
     // A mid-span frequency change lands on both cores at the same instant.
     if (k == 120) tick->set_frequency(machine.freq_table.min_hz());
   }
-  jump->advance_to(tick_at(40));
+
+  // The jumping side: large advances, collects at the same instants.
+  std::vector<cpu::PerfCounters> jump_sums;
+  const auto collect_jump = [&](double at) {
+    jump->advance_to(at);
+    jump->collect_sample_fold();
+    jump_sums.push_back(jump->sample_fold());
+    jump->clear_sample_fold();
+  };
+  collect_jump(tick_at(40));
   jump->suspend_sampling_grid();
   jump->resume_sampling_grid(tick_at(40) + 0.4 * t);  // tick 41 is next
-  jump->advance_to(tick_at(kSkipFrom - 1));
+  collect_jump(tick_at(kSkipFrom - 1));
   jump->suspend_sampling_grid();
-  jump->advance_to(off_lattice_sync);
+  collect_jump(off_lattice_collect);
   jump->resume_sampling_grid(tick_at(kSkipTo));
-  jump->advance_to(tick_at(120));
+  collect_jump(tick_at(120));
   jump->set_frequency(machine.freq_table.min_hz());
-  jump->advance_to(horizon);
+  collect_jump(tick_at(kLastTick));
 
-  std::vector<cpu::PerfCounters> jump_history;
-  jump->drain_counter_history(jump_history);
-  expect_bit_equal(tick_history, jump_history);
+  ASSERT_EQ(jump_sums.size(), tick_sums.size());
+  for (std::size_t i = 0; i < tick_sums.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_bit_equal(tick_sums[i], jump_sums[i], "interval sum");
+  }
+  expect_bit_equal(tick->read_counters(), jump->read_counters(), "counters");
   EXPECT_EQ(tick->job_finish_time(1), jump->job_finish_time(1));
   EXPECT_EQ(tick->job_instructions_retired(0),
             jump->job_instructions_retired(0));
@@ -129,6 +161,10 @@ TEST(CoreSkipAhead, GridSubdivisionMatchesPerTickStepping) {
   // grid-free skip-ahead path and in the daemon's event count; the
   // substrate bench pins both.)
   EXPECT_LE(jump->advance_calls(), tick->advance_calls() + 1);
+  // The snapshot history is gone: draining it yields nothing.
+  std::vector<cpu::PerfCounters> drained(1);
+  jump->drain_counter_history(drained);
+  EXPECT_EQ(drained.size(), 1u);
 }
 
 TEST(CoreSkipAhead, NextInterestingTimeBoundsThePhase) {
@@ -175,23 +211,51 @@ TEST(CoreSkipAhead, SamplingGridValidation) {
                std::logic_error);
 
   // Re-registering mid-run must not rewind the lattice: no span is
-  // simulated twice and no snapshot taken twice.
-  auto run = [&machine](bool reregister) {
+  // simulated twice and no instant's steal or fold taken twice.  Both runs
+  // must match a per-tick driver over exactly the 100 instants in (0, 1].
+  const double steal = 1e-4;
+  auto run = [&machine, steal](bool reregister) {
     sim::Simulation s;
     cpu::Core c(s, core_config(machine), sim::Rng(3));
     c.add_workload(workload::make_uniform_synthetic(60.0, 1e12));
-    c.set_sampling_grid(0.01, 0.01, 0.0, true);
+    c.set_sampling_grid(0.01, 0.01, steal, true);
+    c.start_sample_fold();
     c.advance_to(0.5);
-    if (reregister) c.set_sampling_grid(0.01, 0.01, 0.0, true);
+    if (reregister) c.set_sampling_grid(0.01, 0.01, steal, true);
     c.advance_to(1.0);
-    std::vector<cpu::PerfCounters> history;
-    c.drain_counter_history(history);
-    history.push_back(c.read_counters());
-    return history;
+    c.collect_sample_fold();
+    return std::vector<cpu::PerfCounters>{c.sample_fold(), c.read_counters()};
   };
-  const std::vector<cpu::PerfCounters> once = run(false);
-  EXPECT_EQ(once.size(), 100u + 1);
-  expect_bit_equal(once, run(true));
+  sim::Simulation s;
+  cpu::Core ticked(s, core_config(machine), sim::Rng(3));
+  ticked.add_workload(workload::make_uniform_synthetic(60.0, 1e12));
+  HandFold hand;
+  for (int k = 0; k < 100; ++k) {
+    s.run_until(0.01 + static_cast<double>(k) * 0.01);
+    ticked.steal_time(steal);
+    hand.fold(ticked.read_counters());
+  }
+  const std::vector<cpu::PerfCounters> per_tick{hand.sum,
+                                                ticked.read_counters()};
+  for (const bool reregister : {false, true}) {
+    SCOPED_TRACE(reregister);
+    const std::vector<cpu::PerfCounters> got = run(reregister);
+    expect_bit_equal(per_tick[0], got[0], "fold");
+    expect_bit_equal(per_tick[1], got[1], "counters");
+  }
+
+  // Without folding the grid still subdivides and steals, and a collect
+  // folds only the span since the last fold point.
+  sim::Simulation s2;
+  cpu::Core quiet(s2, core_config(machine), sim::Rng(3));
+  quiet.add_workload(workload::make_uniform_synthetic(60.0, 1e12));
+  quiet.set_sampling_grid(0.01, 0.01, steal, false);
+  quiet.start_sample_fold();
+  quiet.advance_to(1.0);
+  quiet.collect_sample_fold();
+  expect_bit_equal(per_tick[1], quiet.read_counters(), "unfolded counters");
+  expect_bit_equal(per_tick[1] - cpu::PerfCounters{}, quiet.sample_fold(),
+                   "one-span fold");
 }
 
 // --- Golden whole-daemon runs ----------------------------------------------

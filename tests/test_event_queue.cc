@@ -121,6 +121,25 @@ TEST(Simulation, CancelOneShot) {
   EXPECT_FALSE(ran);
 }
 
+TEST(Simulation, RunUntilStopsAtTheBoundBehindACancelledEvent) {
+  // A cancelled entry at the front of the queue is dropped, and the bound
+  // is checked again before the next event runs.
+  Simulation sim;
+  int early = 0;
+  int late = 0;
+  const EventId id = sim.schedule_at(1.0, [&] { ++early; });
+  sim.schedule_at(5.0, [&] { ++late; });
+  ASSERT_TRUE(sim.cancel(id));
+  sim.run_until(2.0);
+  EXPECT_EQ(early, 0);
+  EXPECT_EQ(late, 0);
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_until(5.0);
+  EXPECT_EQ(late, 1);
+  EXPECT_EQ(sim.now(), 5.0);
+}
+
 TEST(Simulation, CancelPeriodicStopsRepeats) {
   Simulation sim;
   int count = 0;

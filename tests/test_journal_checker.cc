@@ -4,8 +4,10 @@
 // each of the six checks, on seeded random journals, and on the journal
 // shapes the array-indexed state has to get right (duplicate table
 // points, a decision before any table, cpu -1, ids far outside the dense
-// range).  Plus the node-id rule only the new checker has: a node_apply
-// whose node is not an integer in [-1, 2^31 - 1] is reported, not merged.
+// range).  Plus the rules only the new checker has: a node_apply whose
+// node is not an integer in [-1, 2^31 - 1] is reported, not merged, and so
+// is a run_meta whose nodes is not an integer in [0, 2^31 - 1]; and the
+// JSONL reader refuses a cpu that is not an integer in [-1, 2^31 - 1].
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -438,6 +440,81 @@ TEST(JournalChecker, MalformedNodeIdsAreReportedNotMerged) {
   // Only node 0's apply joined any node's state: one epoch check and one
   // sequence check.
   EXPECT_EQ(report.checks_run, 3u);
+}
+
+/// fvsst_inspect --check's streaming path: read `jsonl` strictly, check it.
+sim::JournalCheckReport check_jsonl(const std::string& jsonl) {
+  std::istringstream in(jsonl);
+  sim::JournalChecker checker;
+  sim::for_each_jsonl(in, [&](sim::Event&& e) { checker.observe(e); });
+  return checker.finish();
+}
+
+TEST(JournalChecker, MalformedNodeCountIsReportedNotCast) {
+  // A channel disturbance and a later event with no node re-applying: a
+  // run of 3 nodes misses bounded convergence at every node.  The replaced
+  // cast turned nodes 3e9 into a count the loop never entered, so the same
+  // journal read "OK: 0 check(s) run".
+  const auto journal = [](const std::string& nodes) {
+    return "{\"t\":0,\"type\":\"run_meta\",\"convergence_window_s\":0.3,"
+           "\"nodes\":" + nodes + "}\n"
+           "{\"t\":0.1,\"type\":\"message_lost\",\"node\":0}\n"
+           "{\"t\":1,\"type\":\"cycle_start\",\"trigger\":\"timer\"}\n";
+  };
+  const sim::JournalCheckReport three = check_jsonl(journal("3"));
+  EXPECT_EQ(three.violations.size(), 3u);
+  EXPECT_EQ(three.checks_run, 3u);
+
+  for (const char* bad : {"3e9", "2147483648", "-1", "2.5", "1e300"}) {
+    SCOPED_TRACE(bad);
+    const sim::JournalCheckReport report = check_jsonl(journal(bad));
+    ASSERT_EQ(report.violations.size(), 1u);
+    EXPECT_EQ(report.violations[0].rfind("run_meta at t=0s declares nodes ", 0),
+              0u)
+        << report.violations[0];
+    EXPECT_NE(report.violations[0].find(
+                  ", not an integer node count in [0, 2147483647]"),
+              std::string::npos);
+    EXPECT_EQ(report.checks_run, 0u);
+  }
+  EXPECT_EQ(check_jsonl(journal("3e9")).violations[0],
+            "run_meta at t=0s declares nodes 3e+09, not an integer "
+            "node count in [0, 2147483647]");
+  // A run of no nodes has no node to miss convergence.
+  EXPECT_TRUE(check_jsonl(journal("0")).ok());
+}
+
+TEST(JournalReader, RejectsCpuOutsideIntRange) {
+  // The replaced cast read cpu 1e300 and cpu 4294967296 as one cpu, so the
+  // decision below was judged against the other line's table.
+  const std::string jsonl =
+      "{\"t\":0,\"type\":\"run_meta\",\"t_sample_s\":0.01}\n"
+      "{\"t\":0,\"type\":\"table_point\",\"cpu\":1e300,\"hz\":1e9,"
+      "\"volts\":1.3}\n"
+      "{\"t\":0.1,\"type\":\"decision\",\"cpu\":4294967296,"
+      "\"granted_hz\":1e9,\"volts\":1.3}\n";
+  try {
+    check_jsonl(jsonl);
+    ADD_FAILURE() << "cpu 1e300 was accepted";
+  } catch (const std::runtime_error& err) {
+    EXPECT_STREQ(err.what(),
+                 "journal line 2: cpu 1e300 is not an integer in "
+                 "[-1, 2147483647]");
+  }
+  for (const char* cpu : {"4294967296", "2147483648", "-2", "0.5", "-1e300"}) {
+    SCOPED_TRACE(cpu);
+    std::istringstream in(std::string("{\"t\":0,\"type\":\"decision\","
+                                      "\"cpu\":") +
+                          cpu + "}\n");
+    EXPECT_THROW(sim::read_jsonl(in), std::runtime_error);
+  }
+  for (const int cpu : {-1, 0, 2147483647}) {
+    std::istringstream in("{\"t\":0,\"type\":\"decision\",\"cpu\":" +
+                          std::to_string(cpu) + "}\n");
+    const sim::EventLog log = sim::read_jsonl(in);
+    ASSERT_EQ(log.events().size(), 1u);
+    EXPECT_EQ(log.events()[0].cpu, cpu);
+  }
 }
 
 }  // namespace
