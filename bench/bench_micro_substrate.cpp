@@ -786,7 +786,7 @@ int run_smoke() {
   // Gate 8: live heap bytes per simulated node.  A 1-CPU homogeneous
   // cluster and its tree daemon, after two rounds, hold what the daemon
   // keeps per node for the rest of a run: the core, its node, the shard's
-  // hot arrays and the leaf sampler's state.  Every node shares one
+  // core pointers and the leaf sampler's state.  Every node shares one
   // machine description, and each core folds its grid samples into two
   // counter records instead of storing a snapshot per tick (a history
   // that grows to 16 x 48 bytes per core between rounds).  The current

@@ -14,7 +14,7 @@
 // cell holds at the end of its run: live heap per node, and the resident
 // set it added.  The flat daemon's per-node
 // agents and per-node channel traffic make it O(nodes) per sample tick;
-// the tree's batched SoA shard sweeps and O(shards) summary traffic are
+// the tree's contiguous shard sweeps and O(shards) summary traffic are
 // what let the same scenario scale two orders of magnitude further.
 //
 // Usage:

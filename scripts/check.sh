@@ -171,7 +171,9 @@ grep -q '<svg' "${smoke_dir}/monitor.html"
 # raw pointer into the power ledger its Cluster owns.  The event-queue
 # suite runs here too: it recycles action slots and lets a periodic action
 # cancel itself while it runs in place; so does the journal-checker suite,
-# whose per-id state grows as hand-made journals name ids.
+# whose per-id state grows as hand-made journals name ids, and the
+# hostile-journal CLI test, whose ids and counts no int can hold (the
+# float-cast-overflow check flags any cast of them).
 # FVSST_CHAOS_ITERATIONS is dialled down: sanitized builds are ~5x slower
 # and the full sweep already ran unsanitized above.
 asan_dir="${build_dir}-asan"
@@ -184,14 +186,15 @@ cmake --build "${asan_dir}" -j "$(nproc)" --target \
   test_determinism test_failover test_event_mode test_binary_journal \
   test_shard test_summary_tree test_tree_daemon \
   test_cluster test_scheduler test_scheduler_hetero test_cluster_daemon \
-  bench_abl_failover bench_abl_transport fvsst_sim fvsst_inspect
+  bench_abl_failover bench_abl_transport fvsst_sim fvsst_inspect \
+  fvsst_report
 FVSST_CHAOS_ITERATIONS=8 ctest --test-dir "${asan_dir}" --output-on-failure \
-  -R 'chaos|scheduler_properties|optimal_policies|^test_event_queue$|event_log|^test_journal_checker$|control_loop|determinism|failover|cli_fault_plan|event_mode|binary_journal|transport|^test_shard$|summary_tree|tree_daemon|cli_topology|^test_cluster$|^test_scheduler$|^test_scheduler_hetero$|^test_cluster_daemon$'
+  -R 'chaos|scheduler_properties|optimal_policies|^test_event_queue$|event_log|^test_journal_checker$|control_loop|determinism|failover|cli_fault_plan|event_mode|binary_journal|transport|^test_shard$|summary_tree|tree_daemon|cli_topology|^test_cluster$|^test_scheduler$|^test_scheduler_hetero$|^test_cluster_daemon$|^cli_inspect_hostile_journal$'
 
 # Thread-sanitizer gate: rebuild with TSan and run the parallel-stepper
 # suite, the transport suite (its determinism test drives the reliable
 # session through the 4-thread stepper), the tree-daemon suite (its
-# invariance matrix runs the batched shard pre-sync on up to 8 threads),
+# invariance matrix runs the shard sweeps on up to 8 threads),
 # and the scale-sweep smoke — the only code that shares simulation state
 # across threads, so the only code TSan can vet.
 tsan_dir="${build_dir}-tsan"

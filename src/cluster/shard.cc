@@ -1,9 +1,7 @@
 #include "cluster/shard.h"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-#include <utility>
 
 namespace fvsst::cluster {
 
@@ -21,7 +19,6 @@ ShardMap::ShardMap(const Cluster& cluster, std::size_t shards) {
   }
   total_cpus_ = prefix[nodes];
 
-  node_shard_.resize(nodes);
   std::size_t cursor = 0;
   for (std::size_t s = 0; s < shards; ++s) {
     // Quantile target for this slab's end, rounded to the nearest weight.
@@ -39,9 +36,6 @@ ShardMap::ShardMap(const Cluster& cluster, std::size_t shards) {
     span.node_count = end - cursor;
     span.first_cpu = prefix[cursor];
     span.cpu_count = prefix[end] - prefix[cursor];
-    for (std::size_t n = cursor; n < end; ++n) {
-      node_shard_[n] = static_cast<std::uint32_t>(s);
-    }
     spans_.push_back(span);
     cursor = end;
   }
@@ -57,63 +51,25 @@ std::size_t ShardMap::auto_shards(std::size_t nodes) {
 Shard::Shard(Cluster& cluster, ShardSpan span) : span_(span) {
   cores_.reserve(span.cpu_count);
   core_node_.reserve(span.cpu_count);
-  core_table_.reserve(span.cpu_count);
   for (std::size_t n = span.first_node; n < span.end_node(); ++n) {
     Node& node = cluster.node(n);
     for (std::size_t c = 0; c < node.cpu_count(); ++c) {
       cores_.push_back(&node.core(c));
       core_node_.push_back(static_cast<std::uint32_t>(n));
-      core_table_.push_back(&node.machine().freq_table);
     }
   }
-  const std::size_t n = cores_.size();
-  synced_until_.assign(n, -std::numeric_limits<double>::infinity());
-  next_interesting_.assign(n, std::numeric_limits<double>::infinity());
-  frequency_hz_.assign(n, 0.0);
-  next_interesting_min_ = std::numeric_limits<double>::infinity();
 }
 
 void Shard::advance_to(double t, const unsigned char* node_skip) {
-  const std::size_t n = cores_.size();
-  const unsigned char* skip = nullptr;
-  std::size_t flagged = 0;
-  if (node_skip) {
-    skip_scratch_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      skip_scratch_[i] = node_skip[core_node_[i]];
-      flagged += skip_scratch_[i] ? 1 : 0;
-    }
-    skip = skip_scratch_.data();
-  }
-  cores_advanced_ += cpu::Core::advance_batch(
-      cores_.data(), n, t, skip, synced_until_.data(),
-      next_interesting_.data(), frequency_hz_.data());
-  cores_skipped_ += flagged;
-  ++sweeps_;
-  double soonest = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (next_interesting_[i] < soonest) soonest = next_interesting_[i];
-  }
-  next_interesting_min_ = soonest;
-}
-
-double Shard::cached_power_w() const {
-  double total = 0.0;
   for (std::size_t i = 0; i < cores_.size(); ++i) {
-    if (frequency_hz_[i] <= 0.0) continue;  // before the first sweep
-    total += core_table_[i]->power(frequency_hz_[i]);
+    if (node_skip && node_skip[core_node_[i]]) continue;
+    cpu::Core& core = *cores_[i];
+    if (core.synced_until() < t) {
+      core.advance_to(t);
+      ++cores_advanced_;
+    }
   }
-  return total;
-}
-
-void Shard::enqueue(std::function<void()> action) {
-  queue_.push_back(std::move(action));
-}
-
-void Shard::drain() {
-  // Actions may enqueue follow-ups; drain by index so growth is safe.
-  for (std::size_t i = 0; i < queue_.size(); ++i) queue_[i]();
-  queue_.clear();
+  ++sweeps_;
 }
 
 std::vector<Shard> make_shards(Cluster& cluster, const ShardMap& map) {

@@ -1,36 +1,23 @@
-// shard.h - Contiguous node slabs with structure-of-arrays batched stepping.
+// shard.h - Contiguous node slabs for locality-aware stepping.
 //
 // StepPool (parallel_stepper.h) made node stepping deterministic at any
-// thread count, but its fixed `i mod N` partition interleaves every
-// worker's nodes across the whole cluster: at 10k+ nodes each worker
-// touches cache lines spread over the entire core array, and every
-// per-core query chases a Node -> unique_ptr<Core> pointer chain.  The
-// shard layer fixes both:
+// thread count; the shard layer decides which nodes each task steps:
 //
 //   ShardMap   cuts the cluster into contiguous slabs of nodes, balanced
-//              by per-node CPU weight (the locality-aware replacement for
-//              `i mod N`: a worker's slab is one cache-friendly range, the
-//              idiom NUMA-aware schedulers use for vCPU placement);
-//   Shard      owns one slab's hot per-core state as parallel arrays —
-//              synced-until, next-interesting-time, set-point frequency —
-//              and advances the whole slab with one batched sweep
-//              (cpu::Core::advance_batch) that skips already-synced cores
-//              without touching the cold Core objects at all.
+//              by per-node CPU weight (a worker's slab is one
+//              cache-friendly range, the idiom NUMA-aware schedulers use
+//              for vCPU placement, instead of an `i mod N` interleave
+//              that spreads every worker over the whole core array);
+//   Shard      holds one slab's core pointers and their node ids, and
+//              advances the slab's cores with cpu::Core::advance_to.
 //
-// Each Shard also carries its own deferred-action queue: the hierarchical
-// daemon routes per-shard work (grant applies, interval closes) through
-// the owning shard's queue and drains them in shard order on the
-// simulation thread, so workers never contend on a global queue and the
-// ordered effects stay byte-identical to a serial run.
-//
-// Partitioning never changes simulation results: the batched advance
-// touches only per-core state, and every ordered effect is committed
-// serially in node order — the same contract StepPool::run documents.
+// Partitioning never changes simulation results: advancing a core touches
+// only that core's state, and every ordered effect is committed serially
+// in node order — the same contract StepPool::run documents.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -68,24 +55,14 @@ class ShardMap {
   const ShardSpan& span(std::size_t s) const { return spans_.at(s); }
   const std::vector<ShardSpan>& spans() const { return spans_; }
 
-  /// Shard owning `node`.
-  std::size_t shard_of_node(std::size_t node) const {
-    return node_shard_.at(node);
-  }
-
   std::size_t total_cpus() const { return total_cpus_; }
 
  private:
   std::vector<ShardSpan> spans_;
-  std::vector<std::uint32_t> node_shard_;
   std::size_t total_cpus_ = 0;
 };
 
-/// One slab's cores in structure-of-arrays form, plus the shard-local
-/// deferred-action queue.  The hot arrays (synced-until, next-interesting,
-/// frequency) live contiguously so a batch sweep reads them linearly; the
-/// cold Core objects are only dereferenced for cores that actually need
-/// advancing.
+/// One slab's cores, in node-major order.
 class Shard {
  public:
   Shard(Cluster& cluster, ShardSpan span);
@@ -97,56 +74,23 @@ class Shard {
   /// Global node index owning within-shard core `i`.
   std::size_t node_of_core(std::size_t i) const { return core_node_.at(i); }
 
-  /// Advances every core in the slab to absolute time `t` (one batched
-  /// sweep; cores already synced to >= t are skipped via the hot array,
-  /// without touching the Core object).  When `node_skip` is non-null it
-  /// indexes *global* node ids; cores of flagged nodes are left alone —
-  /// the crash-window contract of ClusterDaemon::agents_tick.
+  /// Advances every core in the slab that is behind `t` to absolute time
+  /// `t`.  When `node_skip` is non-null it indexes *global* node ids;
+  /// cores of flagged nodes are left alone — the crash-window contract of
+  /// ClusterDaemon::agents_tick.
   void advance_to(double t, const unsigned char* node_skip = nullptr);
 
-  /// Earliest next model discontinuity across the slab, as cached by the
-  /// last advance_to sweep (infinity before the first sweep or when no
-  /// core bounds its advance).
-  double next_interesting_time() const { return next_interesting_min_; }
-
-  /// Hot per-core state refreshed by the last sweep.
-  const std::vector<double>& synced_until() const { return synced_until_; }
-  const std::vector<double>& frequency_hz() const { return frequency_hz_; }
-
-  /// Peak power of the slab at the frequencies cached by the last sweep.
-  double cached_power_w() const;
-
-  /// Sweep statistics (for the scale bench and the inspector).
+  /// Sweep statistics (for perfbench's skip ratio): advance_to calls, and
+  /// cores those calls actually advanced.
   std::uint64_t sweeps() const { return sweeps_; }
   std::uint64_t cores_advanced() const { return cores_advanced_; }
-  std::uint64_t cores_skipped() const { return cores_skipped_; }
-
-  // --- Shard-local deferred-action queue --------------------------------
-  // FIFO of actions bound for this shard (grant applies, interval closes).
-  // Producers enqueue from the simulation thread; the daemon drains shards
-  // in shard order, so effects commit in the same order a serial run
-  // would.  Never touched by pool workers.
-
-  void enqueue(std::function<void()> action);
-  /// Runs and removes every queued action in FIFO order.
-  void drain();
-  std::size_t queue_depth() const { return queue_.size(); }
 
  private:
   ShardSpan span_;
-  std::vector<cpu::Core*> cores_;          // cold: dereferenced on demand
-  std::vector<std::uint32_t> core_node_;   // global node id per core
-  std::vector<const mach::FrequencyTable*> core_table_;
-  // Hot SoA arrays, parallel to cores_.
-  std::vector<double> synced_until_;
-  std::vector<double> next_interesting_;
-  std::vector<double> frequency_hz_;
-  std::vector<unsigned char> skip_scratch_;
-  double next_interesting_min_ = 0.0;
+  std::vector<cpu::Core*> cores_;
+  std::vector<std::uint32_t> core_node_;  // global node id per core
   std::uint64_t sweeps_ = 0;
   std::uint64_t cores_advanced_ = 0;
-  std::uint64_t cores_skipped_ = 0;
-  std::vector<std::function<void()>> queue_;
 };
 
 /// Builds one Shard per ShardMap slab.

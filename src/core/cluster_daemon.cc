@@ -115,9 +115,8 @@ ClusterDaemon::ClusterDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
       sim_.schedule_every(config_.t_sample_s, [this] { agents_tick(); });
   if (config_.step_threads > 1) {
     step_pool_ = std::make_unique<cluster::StepPool>(config_.step_threads);
-    // One contiguous slab per worker: the pre-sync sweeps linear SoA
-    // ranges instead of interleaving every worker across the whole core
-    // array (the old `i mod N` partition).
+    // One contiguous slab per worker: each worker advances one linear
+    // range of the core array.
     shard_map_ = std::make_unique<cluster::ShardMap>(
         cluster_, static_cast<std::size_t>(config_.step_threads));
     shards_ = cluster::make_shards(cluster_, *shard_map_);

@@ -353,8 +353,7 @@ class ClusterDaemon {
   /// Worker pool for the parallel pre-sync; null when step_threads <= 1.
   std::unique_ptr<cluster::StepPool> step_pool_;
   /// Locality-aware partition for the pre-sync: one contiguous node slab
-  /// per worker, swept in SoA form (cluster/shard.h) instead of the old
-  /// `i mod N` interleave.  Built only when step_pool_ exists.
+  /// per worker (cluster/shard.h).  Built only when step_pool_ exists.
   std::unique_ptr<cluster::ShardMap> shard_map_;
   std::vector<cluster::Shard> shards_;
   /// Per node: crashed at the latest tick.  A crashed node's cores have

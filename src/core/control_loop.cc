@@ -106,9 +106,9 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
 
   // --- Sample + Estimate: close the interval, score the previous cycle's
   // predictions against what was measured, refresh the workload views.
-  const std::vector<IntervalSample> samples = sampler_->end_interval(now);
-  for (std::size_t i = 0; i < states_.size() && i < samples.size(); ++i) {
-    const IntervalSample& s = samples[i];
+  sampler_->end_interval(now, samples_);
+  for (std::size_t i = 0; i < states_.size() && i < samples_.size(); ++i) {
+    const IntervalSample& s = samples_[i];
     if (!s.valid) continue;
     auto& st = states_[i];
     if (!st.has_prediction) continue;
@@ -118,7 +118,7 @@ const ScheduleResult& ControlLoop::run_cycle(double now, double power_budget_w,
     if (st.dev) st.dev->add(now, deviation);
     st.deviation.add(deviation);
   }
-  estimator_->update(samples, views_);
+  estimator_->update(samples_, views_);
 
   if (config_.journal) {
     for (std::size_t i = 0; i < views_.size(); ++i) {
@@ -273,7 +273,7 @@ void ControlLoop::handle_rejections(const ActuationReport& report,
     if (!retry.active) {
       retry.active = true;
       retry.attempts = 1;
-      retry.backoff_ticks = std::max(1, config_.actuation_backoff_ticks);
+      retry.backoff_ticks = kActuationBackoffTicks;
       retry.ticks_until_retry = retry.backoff_ticks;
       // The write failed, so the hardware is still at its pre-cycle point;
       // schedule it there until the write lands so the power accounting
@@ -311,7 +311,7 @@ void ControlLoop::process_retries(double now) {
           .set("target_hz", retry.target_hz)
           .set("kind", std::string("actuation_reject"));
     }
-    if (!retry.degraded && retry.attempts > config_.actuation_max_retries) {
+    if (!retry.degraded && retry.attempts > kActuationMaxRetries) {
       // Retry budget spent: fail-safe.  Hold the table-minimum grant (the
       // most conservative request) and keep knocking at a bounded pace.
       retry.degraded = true;
@@ -433,12 +433,6 @@ void SimCoreSampler::collect() {
   // at `now` folds on top: the sum stays bit-identical to the per-tick
   // collector's.
   for (const auto& addr : procs_) cluster_.core(addr).collect_sample_fold();
-}
-
-std::vector<IntervalSample> SimCoreSampler::end_interval(double now) {
-  std::vector<IntervalSample> out;
-  end_interval(now, out);
-  return out;
 }
 
 void SimCoreSampler::end_interval(double now,

@@ -69,6 +69,14 @@ enum class IdleSignal {
 /// IdleSignal::kHaltedCounter.
 inline constexpr double kHaltedIdleThreshold = 0.90;
 
+/// Rejected frequency writes are retried this many times (with a doubling
+/// tick backoff) before the engine fail-safes the CPU to its table
+/// minimum frequency.
+inline constexpr int kActuationMaxRetries = 3;
+/// Ticks until the first retry of a rejected write; doubles per failure,
+/// capped so a CPU recovers within about one scheduling period T.
+inline constexpr int kActuationBackoffTicks = 1;
+
 /// One CPU's measurements over a closed sampling interval.
 struct IntervalSample {
   cpu::PerfCounters delta;   ///< Counter deltas accumulated this interval.
@@ -92,16 +100,9 @@ class Sampler {
   virtual void collect() {}
 
   /// Folds outstanding counters, closes the measurement interval ending at
-  /// `now`, and returns one sample per CPU.
-  virtual std::vector<IntervalSample> end_interval(double now) = 0;
-
-  /// Allocation-free variant: fills `out` (cleared and resized to
-  /// cpu_count()) instead of returning a fresh vector, so a caller closing
-  /// intervals every round can reuse one buffer.  The default forwards to
-  /// the returning overload; hot-path samplers override both.
-  virtual void end_interval(double now, std::vector<IntervalSample>& out) {
-    out = end_interval(now);
-  }
+  /// `now`, and fills `out` (resized to cpu_count()) with one sample per
+  /// CPU, so a caller closing intervals every round reuses one buffer.
+  virtual void end_interval(double now, std::vector<IntervalSample>& out) = 0;
 };
 
 /// Stage 2: interval samples -> persistent per-CPU views.
@@ -216,13 +217,6 @@ struct ControlLoopConfig {
   /// Invoked between estimation and the policy run — facades charge their
   /// modelled scheduling cost (dead cycles) here.
   std::function<void(CycleTrigger)> pre_policy;
-  /// Rejected frequency writes are retried this many times (with a
-  /// doubling tick backoff) before the engine fail-safes the CPU to its
-  /// table minimum frequency.
-  int actuation_max_retries = 3;
-  /// Ticks until the first retry of a rejected write; doubles per failure,
-  /// capped so a CPU recovers within about one scheduling period T.
-  int actuation_backoff_ticks = 1;
   /// Journal (observation only) when a CPU's measured set-point disagrees
   /// with the last successfully written grant — the sticky-actuation
   /// failure that raises no error.  Needs a journal to matter.
@@ -382,6 +376,7 @@ class ControlLoop {
   std::vector<ProcView> views_;
   std::vector<CpuState> states_;
   std::vector<char> prev_idle_;  ///< Journal-only idle-transition memory.
+  std::vector<IntervalSample> samples_;  ///< Reused end_interval buffer.
   std::size_t cycles_run_ = 0;
   ScheduleResult last_result_;
   /// loop/cycles, interned at the first cycle's publish (registration
@@ -419,7 +414,6 @@ class SimCoreSampler final : public Sampler {
 
   std::size_t cpu_count() const override { return procs_.size(); }
   void collect() override;
-  std::vector<IntervalSample> end_interval(double now) override;
   void end_interval(double now, std::vector<IntervalSample>& out) override;
 
   const std::vector<cluster::ProcAddress>& procs() const { return procs_; }

@@ -154,9 +154,9 @@ class Coordinator::SummarySampler final : public Sampler {
   explicit SummarySampler(std::size_t cpus) : cpus_(cpus) {}
 
   std::size_t cpu_count() const override { return cpus_; }
-  std::vector<IntervalSample> end_interval(double now) override {
+  void end_interval(double now, std::vector<IntervalSample>& out) override {
     (void)now;
-    return std::vector<IntervalSample>(cpus_);
+    out.assign(cpus_, IntervalSample{});
   }
 
  private:

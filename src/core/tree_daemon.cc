@@ -95,7 +95,6 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
     leaf.estimator = std::make_unique<IpcEstimator>(latencies, est);
     leaf.views.resize(span.cpu_count);
     leaf.desired.assign(span.cpu_count, 0);
-    leaf.granted.reserve(span.cpu_count);
     leaf.last_grant_t = start_t_;
   }
 
@@ -207,6 +206,9 @@ TreeDaemon::TreeDaemon(sim::Simulation& sim, cluster::Cluster& cluster,
       config_.journal->append(now, sim::EventType::kBudgetChange)
           .set("budget_w", effective_w);
     }
+    // The budget is a hardware broadcast (paper Sec. 2): a shard in the
+    // fail-safe hears it with no root and moves to the new share at once.
+    failsafe_follow_budget(now);
     RootState& leader = primary_.leader ? primary_ : standby_;
     if (!root_down(leader, now) && leader.any_mail()) {
       root_decide(leader, CycleTrigger::kBudget);
@@ -247,20 +249,14 @@ std::size_t TreeDaemon::failsafe_shard_count() const {
   return n;
 }
 
-std::uint64_t TreeDaemon::cores_advanced() const {
-  std::uint64_t n = 0;
-  for (const cluster::Shard& shard : shards_) n += shard.cores_advanced();
-  return n;
-}
-
 // --------------------------------------------------------------------------
 // Time advance
 // --------------------------------------------------------------------------
 
 void TreeDaemon::summary_wake() {
   const double now = sim_.now();
-  // Batched SoA sweep, one contiguous slab per pool task; the grids
-  // subdivide it at the skipped ticks.  Unlike the flat daemon, crashed
+  // One contiguous slab per pool task; the grids subdivide each core's
+  // advance at the skipped ticks.  Unlike the flat daemon, crashed
   // nodes keep advancing: a node crash downs the *agent* (no summaries, no
   // applies), not the machine, so the sweep is unconditional.
   step_pool_->run(shards_.size(),
@@ -513,18 +509,21 @@ void TreeDaemon::agg_receive_down(std::size_t agg, const Grant& grant,
   }
 
   // Split this subtree's promotion quota over the child leaves in child
-  // (= flat shard) order, by each child's above-cap demand.
-  std::uint64_t remaining = grant.quota;
-  for (std::size_t c = 0; c < agg_children_[agg].size(); ++c) {
-    const std::size_t leaf = agg_children_[agg][c];
-    std::uint64_t share = 0;
-    if (remaining > 0 && agg_child_have_[agg][c]) {
-      share = std::min<std::uint64_t>(
-          remaining, agg_child_mail_[agg][c].above(grant.cap));
-      remaining -= share;
-    }
+  // (= flat shard) order, by each child's above-cap demand; a child whose
+  // summary never arrived demands nothing.
+  const std::vector<std::size_t>& children = agg_children_[agg];
+  agg_above_scratch_.resize(children.size());
+  for (std::size_t c = 0; c < children.size(); ++c) {
+    agg_above_scratch_[c] = agg_child_have_[agg][c]
+                                ? agg_child_mail_[agg][c].above(grant.cap)
+                                : 0;
+  }
+  const std::vector<std::uint64_t> shares =
+      split_quota(agg_above_scratch_, grant.quota);
+  for (std::size_t c = 0; c < children.size(); ++c) {
+    const std::size_t leaf = children[c];
     Grant forwarded = grant;
-    forwarded.quota = share;
+    forwarded.quota = shares[c];
     down_leaf_->send(static_cast<int>(leaf), frame.envelope, /*ack=*/0,
                      /*track=*/down_leaf_->reliable(),
                      [this, leaf, forwarded](const cluster::Frame& f) {
@@ -562,30 +561,27 @@ void TreeDaemon::leaf_apply(std::size_t leaf_id, const Grant& grant,
     return;
   }
 
-  // Commit through the shard's deferred queue: applies stay an ordered,
-  // shard-local serial effect even though the sweeps run on the pool.
+  // The first `quota` above-cap CPUs in shard order run one point above
+  // the cap (apply_cap_profile's rule, skipping crashed nodes' agents).
   cluster::Shard& shard = shards_[leaf_id];
-  shard.enqueue([this, &leaf, &shard, grant, now] {
-    const auto cap = static_cast<std::uint16_t>(grant.cap);
-    std::uint64_t left = grant.quota;
-    for (std::size_t i = 0; i < shard.core_count(); ++i) {
-      if (node_crashed(shard.node_of_core(i), now)) continue;  // agent down
-      const std::uint16_t d = leaf.desired[i];
-      std::uint16_t g = d;
-      if (d > cap) {
-        if (left > 0) {
-          --left;
-          g = static_cast<std::uint16_t>(cap + 1);
-        } else {
-          g = cap;
-        }
+  const auto cap = static_cast<std::uint16_t>(grant.cap);
+  std::uint64_t left = grant.quota;
+  for (std::size_t i = 0; i < shard.core_count(); ++i) {
+    if (node_crashed(shard.node_of_core(i), now)) continue;  // agent down
+    const std::uint16_t d = leaf.desired[i];
+    std::uint16_t g = d;
+    if (d > cap) {
+      if (left > 0) {
+        --left;
+        g = static_cast<std::uint16_t>(cap + 1);
+      } else {
+        g = cap;
       }
-      const double hz = table_[g].hz;
-      cpu::Core& core = shard.core(i);
-      if (core.frequency_hz() != hz) core.set_frequency(hz);
     }
-  });
-  shard.drain();
+    const double hz = table_[g].hz;
+    cpu::Core& core = shard.core(i);
+    if (core.frequency_hz() != hz) core.set_frequency(hz);
+  }
 
   leaf.last_grant_t = now;
   if (leaf.failsafe) {
@@ -679,6 +675,8 @@ void TreeDaemon::failsafe_check(double now) {
   if (config_.failsafe_factor <= 0.0) return;
   const double threshold = config_.failsafe_factor * config_.t_sample_s *
                            config_.schedule_every_n_samples;
+  // A coordinator that was down when the budget moved catches up.
+  failsafe_follow_budget(now);
   const bool none_before = failsafe_shard_count() == 0;
   std::size_t entered_cpus = 0;
   double entered_hz = 0.0;
@@ -688,14 +686,9 @@ void TreeDaemon::failsafe_check(double now) {
     // Root silent past the threshold: the shard drops to the autonomous
     // budget/N share, the same per-CPU convention as the flat daemon.
     const double hz = failsafe_hz();
-    cluster::Shard& shard = shards_[leaf.id];
-    for (std::size_t i = 0; i < shard.core_count(); ++i) {
-      if (node_crashed(shard.node_of_core(i), now)) continue;
-      cpu::Core& core = shard.core(i);
-      if (core.frequency_hz() != hz) core.set_frequency(hz);
-    }
+    failsafe_apply(leaf, hz, now);
     leaf.failsafe = true;
-    entered_cpus += shard.core_count();
+    entered_cpus += shards_[leaf.id].core_count();
     entered_hz = hz;
     if (config_.journal && config_.journal_topology) {
       config_.journal->append(now, sim::EventType::kDegradedMode)
@@ -715,6 +708,24 @@ void TreeDaemon::failsafe_check(double now) {
         .set("reason", std::string("root_silent"))
         .set("cpus", static_cast<double>(entered_cpus))
         .set("hz", entered_hz);
+  }
+}
+
+void TreeDaemon::failsafe_apply(Leaf& leaf, double hz, double now) {
+  cluster::Shard& shard = shards_[leaf.id];
+  for (std::size_t i = 0; i < shard.core_count(); ++i) {
+    if (node_crashed(shard.node_of_core(i), now)) continue;
+    cpu::Core& core = shard.core(i);
+    if (core.frequency_hz() != hz) core.set_frequency(hz);
+  }
+  leaf.failsafe_hz = hz;
+}
+
+void TreeDaemon::failsafe_follow_budget(double now) {
+  const double hz = failsafe_hz();
+  for (Leaf& leaf : leaves_) {
+    if (!leaf.failsafe || leaf_down(leaf.id, now)) continue;
+    if (leaf.failsafe_hz != hz) failsafe_apply(leaf, hz, now);
   }
 }
 

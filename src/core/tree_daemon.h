@@ -26,7 +26,8 @@
 // retransmitted, epoch-fenced) that journal every lost, retransmitted,
 // expired and corrupt message, a standby root can take over with a
 // deterministic takeover delay, and a leaf that stops hearing grants
-// drops its shard to the autonomous budget/N fail-safe frequency.
+// drops its shard to the autonomous budget/N fail-safe frequency, which
+// follows every budget change until grants return.
 //
 // Determinism: tree rounds use fixed link latency (no jitter), integer
 // summary aggregation and the closed-form cap profile, so the journal is
@@ -76,7 +77,7 @@ struct TreeDaemonConfig {
   std::size_t aggregates = 0;
   /// Inert (see AdvanceMode); nothing reads it.
   AdvanceMode advance_mode = AdvanceMode::kEvent;
-  /// Worker threads for the batched shard pre-sync (1 = serial).
+  /// Worker threads for the shard sweeps (1 = serial).
   int step_threads = 1;
   IdleSignal idle_signal = IdleSignal::kOsSignal;
   FrequencyScheduler::Options scheduler;
@@ -121,7 +122,6 @@ class TreeDaemon {
   std::size_t summaries_sent() const { return summaries_sent_; }
   std::size_t summary_bytes_sent() const { return summary_bytes_sent_; }
   std::size_t failsafe_shard_count() const;
-  std::uint64_t cores_advanced() const;
   const cluster::Shard& shard(std::size_t s) const { return shards_[s]; }
   sim::MetricRegistry& telemetry() { return telemetry_; }
 
@@ -132,11 +132,11 @@ class TreeDaemon {
     std::unique_ptr<IpcEstimator> estimator;
     std::vector<ProcView> views;
     std::vector<std::uint16_t> desired;   ///< Pass-1 indices, per CPU.
-    std::vector<std::uint16_t> granted;   ///< Scratch for apply.
     cluster::EpochFence fence;
     std::vector<IntervalSample> interval;  ///< Reused end_interval buffer.
     double last_grant_t = 0.0;
     bool failsafe = false;
+    double failsafe_hz = 0.0;  ///< Share the fail-safe last applied.
   };
 
   struct RootState {
@@ -189,6 +189,12 @@ class TreeDaemon {
   bool root_down(const RootState& root, double now) const;
   void maybe_take_over(double now);
   void failsafe_check(double now);
+  /// Sets the live nodes' cores of `leaf`'s shard to `hz`, the fail-safe
+  /// budget/N share.
+  void failsafe_apply(Leaf& leaf, double hz, double now);
+  /// Moves every fail-safe shard whose coordinator is up to the current
+  /// budget's share.
+  void failsafe_follow_budget(double now);
   double failsafe_hz() const;
   void monitor_sample(double now);
 
@@ -208,7 +214,7 @@ class TreeDaemon {
   /// down time to split the promotion quota by child demand).
   std::vector<std::vector<ShardSummary>> agg_child_mail_;
   std::vector<std::vector<char>> agg_child_have_;
-  std::vector<std::uint64_t> agg_above_scratch_;
+  std::vector<std::uint64_t> agg_above_scratch_;  ///< Per-child above-cap.
 
   RootState primary_;
   RootState standby_;

@@ -297,39 +297,4 @@ void Core::advance(double dt, double end_time) {
   }
 }
 
-std::size_t Core::advance_batch(Core* const* cores, std::size_t n, double t,
-                                const unsigned char* skip,
-                                double* synced_until,
-                                double* next_interesting,
-                                double* frequency_hz) {
-  std::size_t advanced = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    Core& core = *cores[i];
-    if (skip && skip[i]) {
-      // A skipped (crashed) core's cached state may be stale; republish
-      // the truth so the caller's arrays never lie about the watermark.
-      if (synced_until) synced_until[i] = core.synced_until_;
-      if (next_interesting) next_interesting[i] = core.next_interesting_time();
-      if (frequency_hz) frequency_hz[i] = core.requested_hz_;
-      continue;
-    }
-    // The hot-array fast path: a core whose cached watermark already
-    // covers `t` would make advance_to a clamped no-op — skip the model
-    // entirely (the set-point is still re-read: actuations between sweeps
-    // move it without moving the watermark).
-    if (synced_until && synced_until[i] >= t) {
-      if (frequency_hz) frequency_hz[i] = core.requested_hz_;
-      continue;
-    }
-    if (core.synced_until_ < t) {
-      core.advance_to(t);
-      ++advanced;
-    }
-    if (synced_until) synced_until[i] = core.synced_until_;
-    if (next_interesting) next_interesting[i] = core.next_interesting_time();
-    if (frequency_hz) frequency_hz[i] = core.requested_hz_;
-  }
-  return advanced;
-}
-
 }  // namespace fvsst::cpu

@@ -216,23 +216,6 @@ class Core {
   /// watermark).  Queries at or before this time cost nothing.
   double synced_until() const { return synced_until_; }
 
-  // --- Batched stepping (SoA slabs) -------------------------------------
-
-  /// Batch-stepping entry point for structure-of-arrays slabs
-  /// (cluster::Shard): advances cores[i] to `t` for every i not flagged in
-  /// `skip` (null = advance all) whose cached watermark is behind `t`,
-  /// then refreshes the parallel hot arrays — `synced_until[i]`,
-  /// `next_interesting[i]` and `frequency_hz[i]` (any of which may be
-  /// null).  Semantically identical to calling advance_to(t) on each
-  /// unskipped core in turn — same chunk boundaries, same noise draws —
-  /// just without re-dereferencing cold cores the arrays prove are already
-  /// synced.  Returns the number of cores actually advanced.
-  static std::size_t advance_batch(Core* const* cores, std::size_t n,
-                                   double t, const unsigned char* skip,
-                                   double* synced_until,
-                                   double* next_interesting,
-                                   double* frequency_hz);
-
  private:
   void advance(double dt, double end_time);
   void fold_counters() {

@@ -26,9 +26,9 @@ PerfEventSampler::PerfEventSampler(std::size_t cpu_count) : cpus_(cpu_count) {
   }
 }
 
-std::vector<core::IntervalSample> PerfEventSampler::end_interval(double now) {
+void PerfEventSampler::end_interval(double now,
+                                    std::vector<core::IntervalSample>& out) {
   (void)now;
-  std::vector<core::IntervalSample> out(cpus_);
   core::IntervalSample sample;
   sample.elapsed_s = interval_s_;
   if (available_ && interval_s_ > 0.0) {
@@ -40,8 +40,7 @@ std::vector<core::IntervalSample> PerfEventSampler::end_interval(double now) {
     }
   }
   // The single process-wide observation stands in for every managed CPU.
-  for (auto& s : out) s = sample;
-  return out;
+  out.assign(cpus_, sample);
 }
 
 SysfsActuator::SysfsActuator(CpufreqSysfs& sysfs, std::vector<int> cpus)

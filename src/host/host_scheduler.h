@@ -50,7 +50,8 @@ class PerfEventSampler final : public core::Sampler {
   explicit PerfEventSampler(std::size_t cpu_count);
 
   std::size_t cpu_count() const override { return cpus_; }
-  std::vector<core::IntervalSample> end_interval(double now) override;
+  void end_interval(double now,
+                    std::vector<core::IntervalSample>& out) override;
 
   /// Wall-clock length of the interval the next end_interval() closes.
   void set_interval(double seconds) { interval_s_ = seconds; }

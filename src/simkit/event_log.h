@@ -143,6 +143,11 @@ std::string_view event_type_name(EventType type);
 /// Inverse of event_type_name; nullopt for unknown names.
 std::optional<EventType> event_type_from_name(std::string_view name);
 
+/// True when `v` is an integer in [lo, 2^31 - 1], so it converts to int
+/// exactly (a cast of anything else is undefined).  Every reader that
+/// turns a journal number into an id or a count checks it first.
+bool int_in_range(double v, double lo);
+
 /// One journal entry: a timestamped, typed record with a small flat
 /// key/value payload (numeric and string fields kept separately).
 struct Event {
@@ -508,6 +513,9 @@ class JournalChecker {
   std::vector<std::string> transport_violations_;
   // Per-node state of checks 4 and 6.
   IdTable<NodeState> nodes_;
+  // Check 6: every node with has_apply set, in first-apply order, so
+  // finish() judges the declared node count in O(applied nodes).
+  std::vector<int> applied_nodes_;
   // A node_apply whose node is not an integer in [-1, 2^31 - 1] names no
   // node, and a run_meta whose nodes is not an integer in [0, 2^31 - 1]
   // declares no node count: each is reported here, the apply joins no

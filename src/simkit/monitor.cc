@@ -489,7 +489,7 @@ Monitor::Monitor(const RuleSet& rules, Options options)
   rule_states_.reserve(rules_.size());
   for (const Rule& rule : rules_) {
     rule_states_.push_back(RuleState{
-        SlidingWindow(rule.window_s, options_.window_buckets),
+        SlidingWindow(rule.window_s, kWindowBuckets),
         Ewma(rule.window_s), false, 0.0});
   }
   states_.resize(rules_.size());
@@ -505,8 +505,8 @@ InputId Monitor::input(std::string_view name) {
   const std::size_t index = inputs_.size();
   Input in;
   in.name = std::string(name);
-  in.sketches.reserve(options_.sketch_quantiles.size());
-  for (double q : options_.sketch_quantiles) in.sketches.emplace_back(q);
+  in.sketches.reserve(kSketchQuantiles.size());
+  for (double q : kSketchQuantiles) in.sketches.emplace_back(q);
   inputs_.push_back(std::move(in));
   input_names_.push_back(std::string(name));
   input_index_.emplace(std::string(name), index);

@@ -31,6 +31,7 @@
 // bit-for-bit what they were before this subsystem existed.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -219,6 +220,11 @@ struct AlertState {
   std::size_t clears = 0;
 };
 
+/// Ring granularity of every rule window.
+inline constexpr std::size_t kWindowBuckets = 16;
+/// Quantiles sketched per input for exposition.
+inline constexpr std::array<double, 3> kSketchQuantiles = {0.5, 0.9, 0.99};
+
 /// The monitor: owns the rules' aggregator state, the input channels and
 /// the per-input quantile sketches, and evaluates everything at the
 /// daemons' scheduling instants.
@@ -234,10 +240,6 @@ class Monitor {
     /// Journal receiving alert_raised / alert_cleared events (not owned;
     /// null journals nothing).
     EventLog* journal = nullptr;
-    /// Ring granularity of every rule window.
-    std::size_t window_buckets = 16;
-    /// Quantiles sketched per input for exposition ({} disables).
-    std::vector<double> sketch_quantiles = {0.5, 0.9, 0.99};
   };
 
   explicit Monitor(const RuleSet& rules);
@@ -288,11 +290,11 @@ class Monitor {
   std::size_t input_count(InputId id) const;
   /// Last value observed on input `id` (NaN before the first).
   double input_last(InputId id) const;
-  /// The input's sketch for Options::sketch_quantiles[k]; NaN before the
-  /// first observation or when sketches are disabled.
+  /// The input's sketch for sketch_quantiles()[k]; NaN before the first
+  /// observation.
   double input_quantile(InputId id, std::size_t k) const;
-  const std::vector<double>& sketch_quantiles() const {
-    return options_.sketch_quantiles;
+  const std::array<double, 3>& sketch_quantiles() const {
+    return kSketchQuantiles;
   }
 
  private:

@@ -484,6 +484,51 @@ TEST(JournalChecker, MalformedNodeCountIsReportedNotCast) {
   EXPECT_TRUE(check_jsonl(journal("0")).ok());
 }
 
+TEST(JournalChecker, ConvergenceReportNamesSixteenMissesAndCountsTheRest) {
+  // After one channel disturbance, 3 of the declared nodes re-apply in
+  // time.  The report names the first 16 nodes that did not and counts
+  // the others in one line, and still runs one check per declared node.
+  // The replaced loop wrote one line per missed node (200,019 lines here)
+  // and walked every declared id.
+  const auto journal = [](const std::string& nodes) {
+    return "{\"t\":0,\"type\":\"run_meta\",\"convergence_window_s\":0.3,"
+           "\"nodes\":" + nodes + "}\n"
+           "{\"t\":0.1,\"type\":\"message_lost\",\"node\":0}\n"
+           "{\"t\":0.2,\"type\":\"actuation\",\"node\":7,"
+           "\"stage\":\"node_apply\"}\n"
+           "{\"t\":0.2,\"type\":\"actuation\",\"node\":2,"
+           "\"stage\":\"node_apply\"}\n"
+           "{\"t\":0.2,\"type\":\"actuation\",\"node\":199999,"
+           "\"stage\":\"node_apply\"}\n"
+           "{\"t\":1,\"type\":\"cycle_start\",\"trigger\":\"timer\"}\n";
+  };
+  const std::string missed =
+      " did not re-apply settings within 0.300000s of the last channel "
+      "disturbance at t=0.1s (bounded convergence missed)";
+  const sim::JournalCheckReport report = check_jsonl(journal("200000"));
+  EXPECT_EQ(report.checks_run, 200000u);
+  ASSERT_EQ(report.violations.size(), 17u);
+  std::vector<std::string> want;
+  for (int n : {0, 1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}) {
+    want.push_back("node" + std::to_string(n) + missed);
+  }
+  want.push_back("... and 199981 more nodes" + missed);
+  EXPECT_EQ(report.violations, want);
+
+  // The largest valid count costs no more: 2^31 - 1 declared nodes finish
+  // with the same 17 lines.
+  const sim::JournalCheckReport huge = check_jsonl(journal("2147483647"));
+  EXPECT_EQ(huge.checks_run, 2147483647u);
+  ASSERT_EQ(huge.violations.size(), 17u);
+  EXPECT_EQ(huge.violations.back(), "... and 2147483628 more nodes" + missed);
+
+  // Up to 16 misses are all named, with no count line.
+  const sim::JournalCheckReport few = check_jsonl(journal("18"));
+  EXPECT_EQ(few.checks_run, 18u);
+  want.pop_back();
+  EXPECT_EQ(few.violations, want);
+}
+
 TEST(JournalReader, RejectsCpuOutsideIntRange) {
   // The replaced cast read cpu 1e300 and cpu 4294967296 as one cpu, so the
   // decision below was judged against the other line's table.

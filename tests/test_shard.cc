@@ -1,6 +1,6 @@
-// test_shard - The locality-aware shard partition and the SoA batched
-// advance: slabs are contiguous and balanced, the sweep is equivalent to
-// per-core advancing, and the shard-local queue commits in FIFO order.
+// test_shard - The locality-aware shard partition and the slab advance:
+// slabs are contiguous and balanced, and a shard sweep is equivalent to
+// advancing each core on its own.
 #include "cluster/shard.h"
 
 #include <gtest/gtest.h>
@@ -49,15 +49,24 @@ TEST(ShardMap, SlabsAreContiguousAndCoverEveryNodeOnce) {
       EXPECT_EQ(span.first_node, next_node) << "gap before shard " << s;
       EXPECT_EQ(span.first_cpu, next_cpu);
       EXPECT_GE(span.node_count, 1u);
-      for (std::size_t n = span.first_node; n < span.end_node(); ++n) {
-        EXPECT_EQ(map.shard_of_node(n), s);
-      }
       next_node = span.end_node();
       next_cpu += span.cpu_count;
     }
     EXPECT_EQ(next_node, c.node_count());
     EXPECT_EQ(next_cpu, c.cpu_count());
     EXPECT_EQ(map.total_cpus(), c.cpu_count());
+    // Each shard holds its span's cores, in node-major order.
+    const std::vector<cluster::ProcAddress> procs = c.all_procs();
+    std::vector<cluster::Shard> shards = cluster::make_shards(c, map);
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      const cluster::ShardSpan& span = map.span(s);
+      ASSERT_EQ(shards[s].core_count(), span.cpu_count);
+      for (std::size_t i = 0; i < shards[s].core_count(); ++i) {
+        const cluster::ProcAddress& addr = procs[span.first_cpu + i];
+        EXPECT_EQ(shards[s].node_of_core(i), addr.node);
+        EXPECT_EQ(&shards[s].core(i), &c.core(addr));
+      }
+    }
   }
 }
 
@@ -87,7 +96,7 @@ TEST(ShardMap, AutoShardsScalesAsSqrt) {
   }
 }
 
-// --- Shard batched advance ------------------------------------------------
+// --- Shard advance --------------------------------------------------------
 
 std::string core_digest(cluster::Cluster& c) {
   std::string out;
@@ -102,10 +111,9 @@ std::string core_digest(cluster::Cluster& c) {
   return out;
 }
 
-TEST(Shard, BatchedAdvanceMatchesPerCoreAdvance) {
-  // Two identical clusters: one advanced through shard sweeps, one through
-  // the classic per-core read_counters() path.  Same seeds, same times —
-  // the final state must be bit-identical.
+TEST(Shard, SweepMatchesPerCoreAdvance) {
+  // Two identical clusters: one advanced through shard sweeps, one core by
+  // core.  Same seeds, same times — the final state must be bit-identical.
   sim::Simulation sim_a, sim_b;
   sim::Rng rng_a(31), rng_b(31);
   cluster::Cluster a = make_cluster(sim_a, rng_a, 9);
@@ -132,8 +140,8 @@ TEST(Shard, BatchedAdvanceMatchesPerCoreAdvance) {
     EXPECT_EQ(s.sweeps(), 4u);
     advanced += s.cores_advanced();
   }
-  // The repeated sweep at 1.0 must take the hot-array watermark fast path
-  // for every already-synced core: the advanced counter must not grow.
+  // The repeated sweep at 1.0 finds every core synced: the advanced
+  // counter must not grow.
   EXPECT_GT(advanced, 0u);
   EXPECT_EQ(advanced, advanced_after_third);
 }
@@ -151,7 +159,7 @@ TEST(Shard, NodeSkipLeavesFlaggedNodesBehind) {
 
   for (std::size_t i = 0; i < shards[0].core_count(); ++i) {
     const bool flagged = shards[0].node_of_core(i) == 0;
-    const double synced = shards[0].synced_until()[i];
+    const double synced = shards[0].core(i).synced_until();
     if (flagged) {
       EXPECT_LT(synced, 0.5) << "core " << i << " advanced despite skip";
     } else {
@@ -161,53 +169,8 @@ TEST(Shard, NodeSkipLeavesFlaggedNodesBehind) {
   // A later unflagged sweep catches the node up.
   for (cluster::Shard& s : shards) s.advance_to(0.5);
   for (std::size_t i = 0; i < shards[0].core_count(); ++i) {
-    EXPECT_GE(shards[0].synced_until()[i], 0.5);
+    EXPECT_GE(shards[0].core(i).synced_until(), 0.5);
   }
-}
-
-TEST(Shard, HotArraysTrackFrequencyAndPower) {
-  sim::Simulation sim;
-  sim::Rng rng(5);
-  cluster::Cluster c = make_cluster(sim, rng, 4);
-  const cluster::ShardMap map(c, 1);
-  std::vector<cluster::Shard> shards = cluster::make_shards(c, map);
-  cluster::Shard& shard = shards[0];
-
-  const mach::FrequencyTable& table = mach::p630().freq_table;
-  shard.advance_to(0.1);
-  double expect_w = 0.0;
-  for (std::size_t i = 0; i < shard.core_count(); ++i) {
-    EXPECT_EQ(shard.frequency_hz()[i], shard.core(i).frequency_hz());
-    expect_w += table.power(shard.core(i).frequency_hz());
-  }
-  EXPECT_NEAR(shard.cached_power_w(), expect_w, 1e-9);
-
-  // A frequency change shows up after the next sweep.
-  const double low = table.min_hz();
-  shard.core(0).set_frequency(low);
-  shard.advance_to(0.2);
-  EXPECT_EQ(shard.frequency_hz()[0], low);
-}
-
-TEST(Shard, QueueDrainsFifo) {
-  sim::Simulation sim;
-  sim::Rng rng(5);
-  cluster::Cluster c = make_cluster(sim, rng, 2);
-  const cluster::ShardMap map(c, 1);
-  std::vector<cluster::Shard> shards = cluster::make_shards(c, map);
-  cluster::Shard& shard = shards[0];
-
-  std::vector<int> order;
-  shard.enqueue([&] { order.push_back(1); });
-  shard.enqueue([&] { order.push_back(2); });
-  EXPECT_EQ(shard.queue_depth(), 2u);
-  shard.drain();
-  EXPECT_EQ(shard.queue_depth(), 0u);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  shard.drain();  // idempotent on empty
-  EXPECT_EQ(order.size(), 2u);
 }
 
 }  // namespace

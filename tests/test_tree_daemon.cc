@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -43,10 +45,16 @@ struct RunResult {
   std::size_t rounds = 0;
   cluster::Epoch epoch = 1;
   std::size_t failsafe_shards = 0;
+  /// (CPU power, effective budget) in W at each requested probe time.
+  std::vector<std::pair<double, double>> probes;
 };
 
+/// Runs the 12-node scenario for `duration` s; the budget drops to 35% of
+/// peak at 0.9 s.  After the events due at each of `probe_times`, records
+/// the cluster's CPU power and the budget.
 RunResult run_tree(const Scenario& sc, const RunShape& shape,
-                   double duration = 2.5) {
+                   double duration = 2.5,
+                   const std::vector<double>& probe_times = {}) {
   sim::Simulation sim;
   sim::Rng rng(23);
   const mach::MachineConfig machine = mach::p630();
@@ -77,9 +85,13 @@ RunResult run_tree(const Scenario& sc, const RunShape& shape,
   cfg.failsafe_factor = sc.failsafe_factor;
   cfg.transport = sc.transport;
   core::TreeDaemon daemon(sim, cluster, machine.freq_table, budget, cfg);
-  sim.run_for(duration);
-
   RunResult out;
+  for (const double t : probe_times) {
+    sim.run_until(t);
+    out.probes.emplace_back(cluster.cpu_power_w(), budget.effective_limit_w());
+  }
+  sim.run_until(duration);
+
   out.rounds = daemon.rounds();
   out.epoch = daemon.epoch();
   out.failsafe_shards = daemon.failsafe_shard_count();
@@ -137,6 +149,12 @@ INSTANTIATE_TEST_SUITE_P(
                  2.0,
                  cluster::TransportMode::kDatagram,
                  {{sim::FaultKind::kCoordinatorCrash, 0.55, 1.45, 0, 0.0}}},
+        // The budget drops while every shard is in the fail-safe.
+        Scenario{"root_outage_budget_drop_failsafe",
+                 false,
+                 2.0,
+                 cluster::TransportMode::kDatagram,
+                 {{sim::FaultKind::kCoordinatorCrash, 0.55, 2.6, 0, 0.0}}},
         Scenario{"root_partition_standby",
                  true,
                  0.0,
@@ -464,6 +482,31 @@ TEST(TreeDaemon, ShardsDropToFailsafeWhenRootSilent) {
   // No standby: every shard should be running its autonomous fail-safe
   // frequency at the end of the run.
   EXPECT_EQ(r.failsafe_shards, 4u);
+}
+
+TEST(TreeDaemon, FailsafeShardsFollowABudgetDropDuringARootOutage) {
+  // The root is down from 0.55 s to past the end, so every shard enters
+  // the fail-safe at 0.8 s with the pre-drop share (the table maximum).
+  // The budget drop at 0.9 s reaches the shards as a broadcast, not a
+  // grant: from the next summary instant on, the cluster must draw no
+  // more than the new budget (the fail-safe used to keep the old share).
+  Scenario sc{"failsafe_budget_drop"};
+  sc.failsafe_factor = 2.0;
+  sc.faults = {{sim::FaultKind::kCoordinatorCrash, 0.55, 2.6, 0, 0.0}};
+  std::vector<double> probe_times;
+  for (int k = 10; k <= 25; ++k) probe_times.push_back(0.1 * k);
+  for (const RunShape shape :
+       {RunShape{1, 1}, RunShape{4, 1}, RunShape{16, 4}}) {
+    SCOPED_TRACE(std::to_string(shape.shards) + " shards");
+    const RunResult r = run_tree(sc, shape, 2.5, probe_times);
+    EXPECT_EQ(r.failsafe_shards, std::min<std::size_t>(shape.shards, 12));
+    ASSERT_EQ(r.probes.size(), probe_times.size());
+    for (std::size_t i = 0; i < probe_times.size(); ++i) {
+      const auto [power_w, budget_w] = r.probes[i];
+      EXPECT_DOUBLE_EQ(budget_w, 2352.0);
+      EXPECT_LE(power_w, budget_w) << "at t=" << probe_times[i];
+    }
+  }
 }
 
 TEST(TreeDaemon, RecoversFromFailsafeWhenRootReturns) {

@@ -323,16 +323,22 @@ struct SummaryStats {
           agg_promoted += e.num_or("promoted");
           agg_last_cap_hz = e.num_or("cap_hz");
           if (e.num_or("feasible", 1.0) == 0.0) ++agg_infeasible;
-        } else if (e.num_or("tier") == 0.0) {
-          auto& [n, bytes, mail] = by_shard[static_cast<int>(e.num_or("shard"))];
-          ++n;
-          bytes += static_cast<std::size_t>(e.num_or("bytes"));
-          mail = std::max(mail, static_cast<std::size_t>(e.num_or("mailbox")));
         } else {
-          auto& [n, bytes, mail] = by_agg[static_cast<int>(e.num_or("agg"))];
+          // A tier event whose id or sizes are not integers in int range
+          // is left out of the breakdown (casting them is undefined).
+          const bool leaf = e.num_or("tier") == 0.0;
+          const double id = e.num_or(leaf ? "shard" : "agg");
+          const double wire = e.num_or("bytes");
+          const double mailbox = e.num_or("mailbox");
+          if (!sim::int_in_range(id, 0.0) || !sim::int_in_range(wire, 0.0) ||
+              !sim::int_in_range(mailbox, 0.0)) {
+            break;
+          }
+          auto& [n, bytes, mail] =
+              (leaf ? by_shard : by_agg)[static_cast<int>(id)];
           ++n;
-          bytes += static_cast<std::size_t>(e.num_or("bytes"));
-          mail = std::max(mail, static_cast<std::size_t>(e.num_or("mailbox")));
+          bytes += static_cast<std::size_t>(wire);
+          mail = std::max(mail, static_cast<std::size_t>(mailbox));
         }
         break;
       }
@@ -359,10 +365,13 @@ void print_summary(const std::string& path, const SummaryStats& s) {
   const std::size_t settings_rejected = s.settings_rejected;
 
   if (s.have_meta) {
+    const std::string cpus = sim::int_in_range(s.meta_cpus, 0.0)
+                                 ? std::to_string(static_cast<int>(s.meta_cpus))
+                                 : "?";
     std::printf(
-        "run: daemon=%s, %d CPU(s), t=%.0f ms, T=%.0f ms%s%s%s\n",
-        s.meta_has_daemon ? s.meta_daemon.c_str() : "?",
-        static_cast<int>(s.meta_cpus), s.meta_t_sample * 1e3,
+        "run: daemon=%s, %s CPU(s), t=%.0f ms, T=%.0f ms%s%s%s\n",
+        s.meta_has_daemon ? s.meta_daemon.c_str() : "?", cpus.c_str(),
+        s.meta_t_sample * 1e3,
         s.meta_t_sample * s.meta_multiplier * 1e3,
         s.meta_t_restarts != 0.0 ? " (T restarts on budget trigger)" : "",
         s.meta_transport.empty() ? "" : ", transport=",
@@ -437,8 +446,12 @@ void print_summary(const std::string& path, const SummaryStats& s) {
     for (const auto& [direction, count] : s.retransmit_by_direction) {
       std::printf(" %s=%zu", direction.c_str(), count);
     }
-    std::printf(" (max attempt %d)\n",
-                static_cast<int>(s.retransmit_max_attempt));
+    if (sim::int_in_range(s.retransmit_max_attempt, 0.0)) {
+      std::printf(" (max attempt %d)\n",
+                  static_cast<int>(s.retransmit_max_attempt));
+    } else {
+      std::printf(" (max attempt ?)\n");
+    }
   }
   if (!s.duplicate_by_direction.empty()) {
     std::printf("duplicates suppressed:");

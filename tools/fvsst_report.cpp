@@ -103,7 +103,7 @@ struct ReportData {
   double t_hi = 0.0;
   bool have_meta = false;
   std::string daemon = "?";
-  int cpus = 0;
+  int cpus = 0;  ///< -1: run_meta's cpus is not an integer in int range.
   double t_sample_s = 0.0;
   double multiplier = 0.0;
   std::map<std::string, std::size_t> by_type;
@@ -139,7 +139,9 @@ struct ReportData {
         if (!have_meta) {
           have_meta = true;
           if (const std::string* d = e.find_str("daemon")) daemon = *d;
-          cpus = static_cast<int>(e.num_or("cpus"));
+          const double meta_cpus = e.num_or("cpus");
+          cpus = sim::int_in_range(meta_cpus, 0.0) ? static_cast<int>(meta_cpus)
+                                                   : -1;
           t_sample_s = e.num_or("t_sample_s");
           multiplier = e.num_or("multiplier");
         }
@@ -377,7 +379,7 @@ void render_summary(std::ostream& out, const std::string& journal_path,
   row("time span", fmt(d.t_lo) + " s .. " + fmt(d.t_hi) + " s");
   if (d.have_meta) {
     row("daemon", html_escape(d.daemon));
-    row("CPUs", std::to_string(d.cpus));
+    row("CPUs", d.cpus >= 0 ? std::to_string(d.cpus) : "?");
     row("sampling period",
         fmt(d.t_sample_s * 1e3, 0) + " ms (T = " +
             fmt(d.t_sample_s * d.multiplier * 1e3, 0) + " ms)");
